@@ -27,15 +27,8 @@
 
 namespace {
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#if defined(RB_SANITIZED)
 constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
 #else
 constexpr bool kSanitized = false;
 #endif

@@ -24,7 +24,6 @@
 #include "accel/aggregate.hpp"
 #include "accel/gemm.hpp"
 #include "accel/hash_join.hpp"
-#include "accel/scan.hpp"
 #include "accel/simd/measure.hpp"
 #include "accel/simd/simd.hpp"
 #include "accel/sort.hpp"

@@ -7,6 +7,7 @@
 // on exit, so CI and sweep scripts can consume results without scraping the
 // human tables.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "sim/stats.hpp"
 
 namespace rb::bench {
 
@@ -77,18 +77,6 @@ class Report {
   void metric(std::string key, Value v) {
     if (!enabled()) return;
     metrics_.emplace_back(std::move(key), std::move(v));
-  }
-  /// Expand a distribution summary into <key>.count/.mean/.min/.max/.p50/...
-  void metric(const std::string& key, const sim::StatSummary& s) {
-    if (!enabled()) return;
-    metric(key + ".count", static_cast<std::uint64_t>(s.count));
-    metric(key + ".mean", s.mean);
-    metric(key + ".min", s.min);
-    metric(key + ".max", s.max);
-    metric(key + ".p50", s.p50);
-    metric(key + ".p90", s.p90);
-    metric(key + ".p99", s.p99);
-    metric(key + ".p999", s.p999);
   }
 
   /// Write the document now (idempotent). Throws std::runtime_error on I/O

@@ -31,12 +31,4 @@ std::vector<GroupResult> group_aggregate(std::span<const Row> rows, AggOp op) {
   return out;
 }
 
-std::size_t distinct_keys(std::span<const Row> rows) {
-  HashTable64 table{rows.size() / 4 + 16};
-  for (const auto& row : rows) {
-    table.upsert(row.key, 1, [](std::uint64_t a, std::uint64_t) { return a; });
-  }
-  return table.size();
-}
-
 }  // namespace rb::accel

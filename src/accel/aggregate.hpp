@@ -22,7 +22,4 @@ struct GroupResult {
 /// sorted by key (deterministic output).
 std::vector<GroupResult> group_aggregate(std::span<const Row> rows, AggOp op);
 
-/// Number of distinct keys.
-std::size_t distinct_keys(std::span<const Row> rows);
-
 }  // namespace rb::accel

@@ -16,9 +16,6 @@
 //    with the same interface (checked by `MetricSinkLike` static_asserts), so
 //    generic code can instantiate a fully-stripped variant.
 //
-// Registries are mergeable like sim::RunningStats: worker-local registries
-// can be folded into the global one for exactly-once aggregation.
-//
 // This module sits below rb_sim in the dependency order (it knows nothing
 // about simulated time); callers pass plain numbers.
 
@@ -71,8 +68,6 @@ class Counter {
     return total;
   }
 
-  void merge_from(const Counter& other) noexcept { add(other.value()); }
-
   /// Zero every shard in place. Test/bench-scenario use only: racing
   /// writers may be partially counted.
   void reset() noexcept {
@@ -108,12 +103,6 @@ class Gauge {
   }
 
   double value() const noexcept { return v_.load(std::memory_order_relaxed); }
-
-  /// Gauges merge by taking the other registry's last value when this one
-  /// never saw an update; otherwise the local (more recent) value wins.
-  void merge_from(const Gauge& other) noexcept {
-    if (value() == 0.0) set(other.value());
-  }
 
   void reset() noexcept { set(0.0); }
 
@@ -156,8 +145,6 @@ class LatencyHistogram {
   /// Percentile estimate in [0,100] by linear interpolation inside the
   /// bucket containing the rank; 0 when empty.
   double percentile(double p) const;
-
-  void merge_from(const LatencyHistogram& other);
 
   /// Zero counts/sum/exemplars in place, keeping the bucket layout.
   void reset() noexcept;
@@ -247,28 +234,16 @@ class Registry {
                               std::vector<double> upper_bounds,
                               Labels labels = {});
 
-  /// Fold another registry's values into this one (exactly-once: call after
-  /// the other registry's writers are quiescent).
-  void merge_from(const Registry& other);
-
   /// Stable-ordered flat snapshot (sorted by name, then labels).
   std::vector<MetricSample> snapshot() const;
 
   /// {"metrics":[{name, labels{...}, kind, value...}...]}
   std::string to_json() const;
-  /// Header `name,labels,kind,value,count,sum,p50,p90,p99` + one row each.
-  std::string to_csv() const;
-
-  /// Drop every metric (tests and between bench repetitions). DANGEROUS
-  /// for the global registry: instrumentation sites cache metric pointers
-  /// in function-local statics, and clear() leaves them dangling. Prefer
-  /// reset_for_test() for the global registry.
-  void clear();
 
   /// Zero every metric's value IN PLACE — entry identity and previously
   /// returned references stay valid, so cached instrumentation pointers
-  /// keep working. The safe way for tests and multi-scenario benches to
-  /// stop counters leaking across cases.
+  /// keep working. The one way for tests and multi-scenario benches to
+  /// stop counters leaking across cases; entries are never dropped.
   void reset_for_test();
 
   /// The process-wide registry that instrumented library code reports into.

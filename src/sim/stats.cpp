@@ -26,23 +26,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_);
-  const auto m = static_cast<double>(other.n_);
-  mean_ += delta * m / (n + m);
-  m2_ += other.m2_ + delta * delta * n * m / (n + m);
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double PercentileTracker::percentile(double p) const {
   if (samples_.empty())
     throw std::logic_error{"PercentileTracker::percentile: no samples"};
@@ -65,75 +48,6 @@ double PercentileTracker::mean() const {
   double s = 0.0;
   for (double x : samples_) s += x;
   return s / static_cast<double>(samples_.size());
-}
-
-StatSummary PercentileTracker::summary() const {
-  StatSummary s;
-  if (samples_.empty()) return s;
-  s.count = samples_.size();
-  s.mean = mean();
-  s.p50 = percentile(50.0);
-  s.p90 = percentile(90.0);
-  s.p99 = percentile(99.0);
-  s.p999 = percentile(99.9);
-  // percentile() sorted the samples.
-  s.min = samples_.front();
-  s.max = samples_.back();
-  return s;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_{lo}, hi_{hi}, counts_(buckets, 0) {
-  if (!(hi > lo)) throw std::invalid_argument{"Histogram: hi must exceed lo"};
-  if (buckets == 0) throw std::invalid_argument{"Histogram: need >= 1 bucket"};
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range{"Histogram::bucket_low"};
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                 static_cast<double>(peak) *
-                                 static_cast<double>(width));
-    out += std::to_string(bucket_low(i));
-    out += " | ";
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
-}
-
-void TimeWeightedStat::update(SimTime now, double value) {
-  if (now < last_time_)
-    throw std::invalid_argument{"TimeWeightedStat: time went backwards"};
-  weighted_sum_ += value_ * static_cast<double>(now - last_time_);
-  observed_ += now - last_time_;
-  last_time_ = now;
-  value_ = value;
-}
-
-double TimeWeightedStat::average(SimTime now) const {
-  const double tail = value_ * static_cast<double>(now - last_time_);
-  const SimTime span = observed_ + (now - last_time_);
-  if (span <= 0) return value_;
-  return (weighted_sum_ + tail) / static_cast<double>(span);
 }
 
 }  // namespace rb::sim

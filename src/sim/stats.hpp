@@ -2,11 +2,7 @@
 // Streaming statistics used by simulators and benchmark harnesses.
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
-
-#include "sim/units.hpp"
 
 namespace rb::sim {
 
@@ -24,9 +20,6 @@ class RunningStats {
   double max() const noexcept { return n_ == 0 ? 0.0 : max_; }
   double sum() const noexcept { return sum_; }
 
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -36,27 +29,12 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Compact distribution summary shared by benches and the metrics exporter
-/// (all fields zero for an empty tracker).
-struct StatSummary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;
-};
-
 /// Exact percentile tracker: stores all samples, sorts lazily on query.
 /// Suitable for the sample counts in this project (<= tens of millions).
 ///
 /// Empty-tracker semantics (including immediately after clear()):
 /// percentile()/mean() and the pXX helpers throw std::logic_error, since a
-/// percentile of nothing is a caller bug; summary() is the total function —
-/// it returns an all-zero StatSummary instead, so exporters and benches can
-/// report unconditionally.
+/// percentile of nothing is a caller bug.
 class PercentileTracker {
  public:
   void add(double x) { samples_.push_back(x); sorted_ = false; }
@@ -75,59 +53,12 @@ class PercentileTracker {
   double p999() const { return percentile(99.9); }
   double mean() const;
 
-  /// Count/mean/min/max/p50/p90/p99/p999 in one shot; all zeros when empty.
-  StatSummary summary() const;
-
   /// Drop every sample; the tracker behaves exactly like a fresh one.
   void clear() { samples_.clear(); sorted_ = false; }
 
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range values clamp
-/// into the edge buckets. Used for reporting distributions in benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_low(std::size_t i) const;
-  std::uint64_t total() const noexcept { return total_; }
-
-  /// Render a compact ASCII bar chart (for bench output).
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length,
-/// utilization) over simulated time.
-class TimeWeightedStat {
- public:
-  explicit TimeWeightedStat(SimTime start = 0) : last_time_{start} {}
-
-  /// Record that the signal changed to `value` at time `now`.
-  /// `now` must be non-decreasing across calls.
-  void update(SimTime now, double value);
-
-  /// Average over [start, now]; closes the last segment at `now`.
-  double average(SimTime now) const;
-
-  double current() const noexcept { return value_; }
-
- private:
-  SimTime last_time_;
-  double value_ = 0.0;
-  double weighted_sum_ = 0.0;
-  SimTime observed_ = 0;
 };
 
 }  // namespace rb::sim

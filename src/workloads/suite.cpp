@@ -8,7 +8,6 @@
 #include "accel/graph.hpp"
 #include "accel/hash_join.hpp"
 #include "accel/ml.hpp"
-#include "accel/scan.hpp"
 #include "accel/sort.hpp"
 #include "accel/text.hpp"
 #include "node/energy.hpp"

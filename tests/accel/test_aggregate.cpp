@@ -11,7 +11,6 @@ namespace {
 
 TEST(Aggregate, EmptyInput) {
   EXPECT_TRUE(group_aggregate({}, AggOp::kSum).empty());
-  EXPECT_EQ(distinct_keys({}), 0u);
 }
 
 TEST(Aggregate, SumPerGroup) {
@@ -71,15 +70,6 @@ TEST(Aggregate, KeyZeroGrouped) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].key, 0u);
   EXPECT_EQ(out[0].value, 3u);
-}
-
-TEST(DistinctKeys, CountsUnique) {
-  sim::Rng rng{13};
-  std::vector<Row> rows;
-  for (int i = 0; i < 10000; ++i) {
-    rows.push_back(Row{rng.uniform_index(73), 0});
-  }
-  EXPECT_EQ(distinct_keys(rows), 73u);
 }
 
 }  // namespace

@@ -38,8 +38,16 @@ class LogTest : public ::testing::Test {
   LogLevel saved_level_ = LogLevel::kWarning;
 };
 
+TEST(Log, LevelsAreOrdered) {
+  EXPECT_LT(LogLevel::kDebug, LogLevel::kInfo);
+  EXPECT_LT(LogLevel::kInfo, LogLevel::kWarning);
+  EXPECT_LT(LogLevel::kWarning, LogLevel::kError);
+  EXPECT_LT(LogLevel::kError, LogLevel::kOff);
+}
+
 TEST_F(LogTest, LevelGatesLines) {
   set_log_level(LogLevel::kWarning);
+  EXPECT_EQ(log_level(), LogLevel::kWarning);
   const Logger log{"net"};
   log.info() << "suppressed";
   log.warn() << "kept";

@@ -181,7 +181,7 @@ TEST(FrontDoor, IdenticalSeedsProduceIdenticalResults) {
 
 TEST(FrontDoor, ExportsSloCountersThroughObs) {
   auto& registry = obs::Registry::global();
-  registry.clear();
+  registry.reset_for_test();
   obs::set_enabled(true);
   auto params = small_params();
   params.horizon = 50 * sim::kMillisecond;
@@ -193,7 +193,7 @@ TEST(FrontDoor, ExportsSloCountersThroughObs) {
             r.completed);
   EXPECT_EQ(registry.counter("serve.requests_rejected").value(), r.rejected);
   EXPECT_EQ(registry.counter("serve.requests_failed").value(), r.failed);
-  registry.clear();
+  registry.reset_for_test();
 }
 
 TEST(FrontDoor, RejectsDegenerateParameters) {

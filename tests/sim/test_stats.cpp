@@ -45,32 +45,6 @@ TEST(RunningStats, MatchesDirectComputation) {
   EXPECT_NEAR(s.variance(), var, 1e-9);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng{7};
-  RunningStats all, a, b;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsNoop) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  EXPECT_EQ(a.count(), 2u);
-}
-
 TEST(PercentileTracker, ThrowsWhenEmpty) {
   PercentileTracker t;
   EXPECT_THROW(t.percentile(50.0), std::logic_error);
@@ -113,48 +87,6 @@ TEST(PercentileTracker, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(t.p50(), 15.0);  // resort after new sample
   t.add(30.0);
   EXPECT_DOUBLE_EQ(t.p50(), 20.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 9
-  h.add(-5.0);  // clamps to 0
-  h.add(50.0);  // clamps to 9
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BucketLowBoundaries) {
-  Histogram h{0.0, 100.0, 4};
-  EXPECT_DOUBLE_EQ(h.bucket_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_low(2), 50.0);
-  EXPECT_THROW(h.bucket_low(4), std::out_of_range);
-}
-
-TEST(TimeWeightedStat, ConstantSignal) {
-  TimeWeightedStat s;
-  s.update(0, 5.0);
-  EXPECT_DOUBLE_EQ(s.average(10 * kSecond), 5.0);
-}
-
-TEST(TimeWeightedStat, StepSignal) {
-  TimeWeightedStat s;
-  s.update(0, 0.0);
-  s.update(5 * kSecond, 10.0);  // 0 for first 5s, 10 for next 5s
-  EXPECT_DOUBLE_EQ(s.average(10 * kSecond), 5.0);
-}
-
-TEST(TimeWeightedStat, RejectsTimeTravel) {
-  TimeWeightedStat s;
-  s.update(10 * kSecond, 1.0);
-  EXPECT_THROW(s.update(5 * kSecond, 2.0), std::invalid_argument);
 }
 
 }  // namespace
