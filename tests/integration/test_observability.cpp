@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -335,6 +337,179 @@ TEST(Observability, CausalServingTelemetryIsDeterministicAndReconciles) {
   EXPECT_EQ(a.exemplars, b.exemplars);
   EXPECT_EQ(a.bands, b.bands);
   EXPECT_EQ(a.alert_times, b.alert_times);
+}
+
+/// FNV-1a over a canonical text rendering. Doubles are rendered as hex
+/// floats so the digest pins every bit, not a rounded decimal.
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void bytes(std::string_view s) {
+    for (const unsigned char c : s) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    h ^= 0xff;  // field separator
+    h *= 1099511628211ull;
+  }
+  void i(std::int64_t v) { bytes(std::to_string(v)); }
+  void u(std::uint64_t v) { bytes(std::to_string(v)); }
+  void d(double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    bytes(buf);
+  }
+  void path(const obs::CriticalPath& p) {
+    i(p.total_ps);
+    i(p.queue_ps);
+    i(p.service_ps);
+    i(p.network_ps);
+    i(p.backoff_ps);
+    i(p.hedge_wait_ps);
+    i(p.other_ps);
+  }
+};
+
+struct GrayTelemetry {
+  std::uint64_t digest = 0;
+  std::size_t exemplars = 0;
+  std::size_t hedge_spans = 0;
+  std::size_t failed_exemplars = 0;
+  std::size_t alerts = 0;
+};
+
+/// A seeded gray-failure FrontDoor (one replica host slowed 4x for the
+/// middle third, hedging and attempt timeouts on) with the causal tracer,
+/// a Rollup and an AlertEngine attached. Returns a digest of everything
+/// the telemetry reports: the band summary, every exemplar tree, the rollup
+/// JSON and the alert timeline.
+GrayTelemetry gray_failure_telemetry() {
+  auto& tracer = obs::RequestTracer::global();
+  tracer.clear();
+  obs::ExemplarParams ep;
+  ep.max_exemplars = 256;
+  ep.latency_threshold_s = 0.015;
+  tracer.set_params(ep);
+  tracer.set_enabled(true);
+
+  serve::FrontDoorParams params;
+  params.replicas = 6;
+  params.replication = 3;
+  params.key_universe = 2'000;
+  params.horizon = 150 * sim::kMillisecond;
+  params.max_attempts = 4;
+  params.seed = 0x5EED;
+  params.replica.device = node::find_device(node::DeviceKind::kCpu);
+  params.replica.batch_overhead = 500 * sim::kMicrosecond;
+  params.replica.per_request = node::KernelProfile{2.0e5, 6.0e5, 1.0, 512.0};
+  params.replica.queue_limit = 64;
+  params.replica.batch_max = 8;
+  params.offered_qps =
+      0.5 * serve::estimated_capacity_qps(params, params.replicas);
+  params.resilience.request_timeout = 40 * sim::kMillisecond;
+  params.resilience.attempt_timeout = 6 * sim::kMillisecond;
+  params.resilience.budget.enabled = true;
+  params.resilience.budget.ratio = 0.1;
+  params.resilience.budget.burst = 50.0;
+  params.resilience.hedge.enabled = true;
+  params.resilience.hedge.quantile = 95.0;
+  params.resilience.hedge.min_delay = 3 * sim::kMillisecond;
+  params.resilience.hedge.window = 256;
+  params.resilience.hedge.min_samples = 30;
+
+  net::Topology topo = net::make_fat_tree(4);
+  sim::Simulator sim;
+  net::Router router{topo};
+  serve::FrontDoor door{sim, topo, router, params};
+
+  obs::Rollup rollup{5 * sim::kMillisecond};
+  obs::AlertParams ap;
+  ap.objective = 0.99;
+  ap.window = 5 * sim::kMillisecond;
+  ap.min_events = 10;
+  ap.rules = {obs::BurnRateRule{"page", 5.0, 2, 8}};
+  obs::AlertEngine alerts{ap};
+  door.slo().attach_telemetry(&rollup, &alerts, /*slo_latency_s=*/0.015);
+
+  door.preload();
+  faults::FaultPlan plan;
+  plan.add_node_degrade(door.replica_hosts()[1], params.horizon / 3,
+                        params.horizon / 3, 4.0);
+  faults::FaultInjector injector{sim, topo, plan};
+  injector.on_event(
+      [&door](const faults::FaultEvent& ev) { door.handle_fault(ev); });
+  injector.arm();
+  door.start();
+  sim.run();
+
+  GrayTelemetry out;
+  Fnv f;
+  f.u(door.slo().issued());
+  f.u(tracer.finished());
+  for (const obs::BandDecomposition& b : tracer.band_summary()) {
+    f.bytes(b.band);
+    f.d(b.lo_pct);
+    f.d(b.hi_pct);
+    f.u(b.count);
+    f.d(b.mean_latency_s);
+    f.d(b.queue_share);
+    f.d(b.service_share);
+    f.d(b.network_share);
+    f.d(b.backoff_share);
+    f.d(b.hedge_wait_share);
+    f.d(b.other_share);
+  }
+  for (const obs::ExemplarTrace& ex : tracer.exemplars()) {
+    ++out.exemplars;
+    if (ex.outcome != obs::TraceOutcome::kCompleted) ++out.failed_exemplars;
+    f.u(ex.trace_id);
+    f.bytes(ex.name);
+    f.i(ex.start_ps);
+    f.i(ex.finish_ps);
+    f.bytes(obs::to_string(ex.outcome));
+    f.path(ex.path);
+    f.u(ex.spans.size());
+    for (const obs::CausalSpan& s : ex.spans) {
+      f.u(s.span_id);
+      f.u(s.parent_id);
+      f.bytes(obs::to_string(s.segment));
+      f.bytes(s.name);
+      f.i(s.start_ps);
+      f.i(s.end_ps);
+      f.i(s.ref);
+      f.u(s.won ? 1 : 0);
+      if (s.segment == obs::Segment::kHedgeWait) ++out.hedge_spans;
+    }
+  }
+  f.bytes(rollup.to_json());
+  for (const obs::Alert& a : alerts.alerts(params.horizon)) {
+    ++out.alerts;
+    f.bytes(a.rule);
+    f.i(a.fired_at);
+    f.i(a.cleared_at);
+    f.d(a.burn_short);
+    f.d(a.burn_long);
+  }
+  tracer.set_enabled(false);
+  tracer.set_params(obs::ExemplarParams{});
+  tracer.clear();
+  out.digest = f.h;
+  return out;
+}
+
+// Golden digest of the full causal-telemetry output of one seeded gray
+// failure. Any change to span or trace id assignment, exemplar retention,
+// the critical-path decomposition, band_summary, rollup JSON or the alert
+// timeline moves it; a pure performance change to the tracer or the
+// rollups must leave it exactly where it is.
+TEST(Observability, GrayFailureTelemetryMatchesGoldenDigest) {
+  const GrayTelemetry t = gray_failure_telemetry();
+  // The run must exercise what the digest is meant to pin: a full exemplar
+  // reservoir, hedged trees, failed trees and at least one alert.
+  EXPECT_EQ(t.exemplars, 256u);
+  EXPECT_GT(t.hedge_spans, 0u);
+  EXPECT_GT(t.failed_exemplars, 0u);
+  EXPECT_GT(t.alerts, 0u);
+  EXPECT_EQ(t.digest, 0x58b4c81caf6ef7b2ull);
 }
 
 }  // namespace
