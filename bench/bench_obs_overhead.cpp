@@ -11,7 +11,9 @@
 //                 observability left OFF (the default).
 //
 // The acceptance bar is <2% overhead of the guarded-disabled path over the
-// no-op path. Run with --json <path> (or RB_BENCH_JSON) for machine output.
+// no-op path. A last, report-only section times the enabled path: one
+// traced request and one rollup record with telemetry on. Run with
+// --json <path> (or RB_BENCH_JSON) for machine output.
 
 #include <algorithm>
 #include <array>
@@ -631,5 +633,86 @@ int main(int argc, char** argv) {
 
   bench::note("the accel.simd_rows mirror costs one relaxed atomic load per");
   bench::note("1024-row batch — noise-level even on the widest-vector scan.");
+
+  // --- Enabled path (report only) -------------------------------------------
+  // What telemetry costs when it is ON: one traced request shaped like the
+  // serving plane's, and one rollup record. No gate; the numbers show the
+  // effect of a change to the tracer or the rollups.
+  bench::heading("OBS-OVH (enabled)",
+                 "Enabled-path cost of the causal tracer and the rollups");
+  constexpr int kTraces = 20'000;
+  constexpr int kRecords = 1'000'000;
+  constexpr int kEnabledAttempts = 7;
+  report.config("enabled_traces", std::int64_t{kTraces});
+  report.config("enabled_records", std::int64_t{kRecords});
+
+  using Clock = std::chrono::steady_clock;
+  using obs::Segment;
+  auto& tracer = obs::RequestTracer::global();
+  obs::ExemplarParams ep;
+  ep.max_exemplars = 64;
+  tracer.set_params(ep);
+  tracer.set_enabled(true);
+  // start_trace + 6 spans (attempt, net.out, queue, service, lsm.get,
+  // net.response) + mark_won + finish, as FrontDoor/ReplicaServer emit them.
+  const auto traced_request = [&tracer](std::int64_t t) {
+    const obs::TraceContext root = tracer.start_trace("get", t);
+    const std::uint64_t attempt =
+        tracer.begin_span(root, Segment::kAttempt, "attempt", t, 1);
+    const obs::TraceContext actx{root.trace_id, attempt};
+    tracer.add_span(actx, Segment::kNetwork, "net.out", t, t + 10);
+    const std::uint64_t queue =
+        tracer.begin_span(actx, Segment::kQueue, "queue", t + 10, 1);
+    tracer.end_span(root.trace_id, queue, t + 20);
+    const std::uint64_t service =
+        tracer.begin_span(actx, Segment::kService, "service", t + 20, 1);
+    tracer.add_span({root.trace_id, service}, Segment::kStorage, "lsm.get",
+                    t + 25, t + 25, 0);
+    tracer.end_span(root.trace_id, service, t + 40);
+    tracer.add_span(actx, Segment::kNetwork, "net.response", t + 40, t + 50);
+    tracer.end_span(root.trace_id, attempt, t + 50);
+    tracer.mark_won(root.trace_id, attempt);
+    tracer.finish(root.trace_id, t + 50 + (t % 97),
+                  obs::TraceOutcome::kCompleted);
+  };
+  double trace_ns = 1e300;
+  for (int a = 0; a < kEnabledAttempts; ++a) {
+    tracer.clear();
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kTraces; ++i) traced_request(std::int64_t{i} * 100);
+    const auto t1 = Clock::now();
+    trace_ns = std::min(
+        trace_ns, std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                      kTraces);
+  }
+  tracer.set_enabled(false);
+  tracer.clear();
+  tracer.set_params(obs::ExemplarParams{});
+
+  double record_ns = 1e300;
+  for (int a = 0; a < kEnabledAttempts; ++a) {
+    // 5 ms windows of picoseconds, one record per simulated microsecond.
+    obs::WindowedSeries series{5'000'000'000, obs::WindowedSeries::Kind::kValue};
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kRecords; ++i) {
+      series.record(std::int64_t{i} * 1'000'000, static_cast<double>(i & 63));
+    }
+    const auto t1 = Clock::now();
+    checksum += series.sum_range(0, std::int64_t{kRecords} * 1'000'000);
+    record_ns = std::min(
+        record_ns, std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                       kRecords);
+  }
+
+  std::printf("%-28s %14.1f ns/request\n", "traced request (enabled)",
+              trace_ns);
+  std::printf("%-28s %14.1f ns/record\n", "WindowedSeries::record",
+              record_ns);
+  std::printf("(checksum %.3e)\n", checksum);
+  report.metric("enabled_ns_per_traced_request", trace_ns);
+  report.metric("enabled_ns_per_series_record", record_ns);
+
+  bench::note("report only: start_trace + 6 spans + mark_won + finish per");
+  bench::note("request, and one windowed record, with telemetry on.");
   return 0;
 }

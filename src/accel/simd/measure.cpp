@@ -1,5 +1,6 @@
 #include "accel/simd/measure.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -23,19 +24,6 @@ struct AlignedBuf {
   std::unique_ptr<T[], decltype(&std::free)> p;
 };
 
-double best_of_ms(int attempts, const auto& fn) {
-  double best = 1e300;
-  for (int a = 0; a < attempts; ++a) {
-    const auto t0 = Clock::now();
-    fn();
-    const auto t1 = Clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (ms < best) best = ms;
-  }
-  return best;
-}
-
 /// Guard that forces an ISA for the timed region and restores on exit.
 class IsaGuard {
  public:
@@ -47,6 +35,36 @@ class IsaGuard {
   Isa prev_;
   bool ok_;
 };
+
+/// Best-of-`rounds` times of `fn(kernels())` under the scalar kernels and
+/// under `tuned`, divided by `reps`. Scalar and tuned attempts alternate, so
+/// a slow spell of the host lands on both sides instead of skewing the
+/// ratio. nullopt when `tuned` cannot be selected.
+std::optional<MeasuredKernel> measure_ab(Isa tuned, int rounds, int reps,
+                                         const auto& fn) {
+  double best[2] = {1e300, 1e300};
+  for (int a = 0; a < rounds; ++a) {
+    for (int side = 0; side < 2; ++side) {
+      IsaGuard g{side == 0 ? Isa::kScalar : tuned};
+      if (!g.ok()) return std::nullopt;
+      const Kernels& k = kernels();
+      const auto t0 = Clock::now();
+      for (int rep = 0; rep < reps; ++rep) fn(k);
+      const auto t1 = Clock::now();
+      best[side] = std::min(
+          best[side], std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+  }
+  MeasuredKernel r;
+  r.isa = tuned;
+  r.scalar_ms = best[0] / reps;
+  r.tuned_ms = best[1] / reps;
+  r.speedup = r.tuned_ms > 0.0 ? r.scalar_ms / r.tuned_ms : 1.0;
+  return r;
+}
+
+/// Timed attempts per side (the bench reports "best of 7").
+constexpr int kRounds = 7;
 
 std::uint64_t splitmix64(std::uint64_t& s) noexcept {
   s += 0x9e3779b97f4a7c15ULL;
@@ -70,36 +88,13 @@ std::optional<MeasuredKernel> measure_select_scan(std::uint64_t rows) {
   AlignedBuf<std::uint32_t> out{rows};
   const std::int64_t lo = 250, hi = 750;  // ~50% selectivity
 
-  constexpr int kAttempts = 7;
   // Keep each timed sample around a millisecond even for L1-resident row
-  // counts; per-rep times come out of the division below.
+  // counts; per-rep times come out of the division in measure_ab.
   const int reps = static_cast<int>((1u << 22) / rows + 1);
   volatile std::size_t sink = 0;
-
-  MeasuredKernel r;
-  r.isa = best;
-  {
-    IsaGuard g{Isa::kScalar};
-    const auto& k = kernels();
-    r.scalar_ms = best_of_ms(kAttempts, [&] {
-      for (int rep = 0; rep < reps; ++rep) {
-        sink = k.select_between(values.data(), rows, lo, hi, out.data());
-      }
-    }) / reps;
-  }
-  {
-    IsaGuard g{best};
-    if (!g.ok()) return std::nullopt;
-    const auto& k = kernels();
-    r.tuned_ms = best_of_ms(kAttempts, [&] {
-      for (int rep = 0; rep < reps; ++rep) {
-        sink = k.select_between(values.data(), rows, lo, hi, out.data());
-      }
-    }) / reps;
-  }
-  (void)sink;
-  r.speedup = r.tuned_ms > 0.0 ? r.scalar_ms / r.tuned_ms : 1.0;
-  return r;
+  return measure_ab(best, kRounds, reps, [&](const Kernels& k) {
+    sink = k.select_between(values.data(), rows, lo, hi, out.data());
+  });
 }
 
 std::optional<MeasuredKernel> measure_join_probe(std::uint64_t probe_rows) {
@@ -133,34 +128,11 @@ std::optional<MeasuredKernel> measure_join_probe(std::uint64_t probe_rows) {
   AlignedBuf<std::uint64_t> values{probe_rows};
   AlignedBuf<std::uint8_t> found{probe_rows};
 
-  constexpr int kAttempts = 7;
   const int reps = static_cast<int>((1u << 19) / probe_rows + 1);
-
-  MeasuredKernel r;
-  r.isa = best;
-  {
-    IsaGuard g{Isa::kScalar};
-    const auto& k = kernels();
-    r.scalar_ms = best_of_ms(kAttempts, [&] {
-      for (int rep = 0; rep < reps; ++rep) {
-        k.hash_find_batch(slot_words.data(), mask, keys.data(), probe_rows,
-                          values.data(), found.data());
-      }
-    }) / reps;
-  }
-  {
-    IsaGuard g{best};
-    if (!g.ok()) return std::nullopt;
-    const auto& k = kernels();
-    r.tuned_ms = best_of_ms(kAttempts, [&] {
-      for (int rep = 0; rep < reps; ++rep) {
-        k.hash_find_batch(slot_words.data(), mask, keys.data(), probe_rows,
-                          values.data(), found.data());
-      }
-    }) / reps;
-  }
-  r.speedup = r.tuned_ms > 0.0 ? r.scalar_ms / r.tuned_ms : 1.0;
-  return r;
+  return measure_ab(best, kRounds, reps, [&](const Kernels& k) {
+    k.hash_find_batch(slot_words.data(), mask, keys.data(), probe_rows,
+                      values.data(), found.data());
+  });
 }
 
 }  // namespace rb::accel::simd

@@ -50,22 +50,45 @@ void RequestTracer::set_params(const ExemplarParams& params) {
   params_ = params;
 }
 
+RequestTracer::LiveTrace* RequestTracer::find_live(std::uint64_t trace_id) {
+  if (trace_id < window_base_ || trace_id >= next_trace_) return nullptr;
+  const std::uint32_t slot = window_[window_head_ + (trace_id - window_base_)];
+  return slot == kNoSlot ? nullptr : &slots_[slot];
+}
+
+CausalSpan* RequestTracer::find_span(LiveTrace& t, std::uint64_t span_id) {
+  auto it = std::lower_bound(
+      t.spans.begin(), t.spans.end(), span_id,
+      [](const CausalSpan& s, std::uint64_t id) { return s.span_id < id; });
+  return it == t.spans.end() || it->span_id != span_id ? nullptr : &*it;
+}
+
 TraceContext RequestTracer::start_trace(std::string_view name,
                                         std::int64_t ts_ps) {
   if (!enabled()) return {};
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t trace_id = next_trace_++;
   const std::uint64_t span_id = next_span_++;
-  LiveTrace& t = live_[trace_id];
+
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  window_.push_back(slot);
+
+  LiveTrace& t = slots_[slot];
+  t.trace_id = trace_id;
   t.name.assign(name);
   t.start_ps = ts_ps;
-  CausalSpan root;
+  CausalSpan& root = t.spans.emplace_back();
   root.span_id = span_id;
   root.segment = Segment::kRequest;
   root.name.assign(name);
   root.start_ps = ts_ps;
-  t.span_index[span_id] = t.spans.size();
-  t.spans.push_back(std::move(root));
   return TraceContext{trace_id, span_id};
 }
 
@@ -74,18 +97,16 @@ std::uint64_t RequestTracer::begin_span(const TraceContext& parent,
                                         std::int64_t ts_ps, std::int64_t ref) {
   if (!enabled() || !parent.active()) return 0;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = live_.find(parent.trace_id);
-  if (it == live_.end()) return 0;
+  LiveTrace* t = find_live(parent.trace_id);
+  if (t == nullptr) return 0;
   const std::uint64_t span_id = next_span_++;
-  CausalSpan s;
+  CausalSpan& s = t->spans.emplace_back();
   s.span_id = span_id;
   s.parent_id = parent.span_id;
   s.segment = segment;
   s.name.assign(name);
   s.start_ps = ts_ps;
   s.ref = ref;
-  it->second.span_index[span_id] = it->second.spans.size();
-  it->second.spans.push_back(std::move(s));
   return span_id;
 }
 
@@ -93,12 +114,10 @@ void RequestTracer::end_span(std::uint64_t trace_id, std::uint64_t span_id,
                              std::int64_t ts_ps) {
   if (!enabled() || trace_id == 0 || span_id == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = live_.find(trace_id);
-  if (it == live_.end()) return;
-  auto si = it->second.span_index.find(span_id);
-  if (si == it->second.span_index.end()) return;
-  CausalSpan& s = it->second.spans[si->second];
-  if (s.end_ps < 0) s.end_ps = std::max(ts_ps, s.start_ps);
+  LiveTrace* t = find_live(trace_id);
+  if (t == nullptr) return;
+  CausalSpan* s = find_span(*t, span_id);
+  if (s != nullptr && s->end_ps < 0) s->end_ps = std::max(ts_ps, s->start_ps);
 }
 
 std::uint64_t RequestTracer::add_span(const TraceContext& parent,
@@ -113,11 +132,9 @@ std::uint64_t RequestTracer::add_span(const TraceContext& parent,
 void RequestTracer::mark_won(std::uint64_t trace_id, std::uint64_t span_id) {
   if (!enabled() || trace_id == 0 || span_id == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = live_.find(trace_id);
-  if (it == live_.end()) return;
-  auto si = it->second.span_index.find(span_id);
-  if (si == it->second.span_index.end()) return;
-  it->second.spans[si->second].won = true;
+  LiveTrace* t = find_live(trace_id);
+  if (t == nullptr) return;
+  if (CausalSpan* s = find_span(*t, span_id)) s->won = true;
 }
 
 CriticalPath RequestTracer::critical_path(const LiveTrace& t,
@@ -176,7 +193,8 @@ CriticalPath RequestTracer::critical_path(const LiveTrace& t,
   // primary racing its lost hedge) never double-bill the same picosecond.
   const std::int64_t finish = t.start_ps + total;
   using Interval = std::pair<std::int64_t, std::int64_t>;
-  std::vector<Interval> claimed;
+  std::vector<Interval>& claimed = claimed_;
+  claimed.clear();
   if (winner != nullptr) claimed.emplace_back(winner->start_ps, finish);
   for (const CausalSpan& s : t.spans) {
     if (s.segment == Segment::kBackoff) {
@@ -186,14 +204,16 @@ CriticalPath RequestTracer::critical_path(const LiveTrace& t,
       claimed.emplace_back(s.start_ps, s.end_ps);
     }
   }
-  std::vector<std::uint64_t> zombies;
+  std::vector<std::uint64_t>& zombies = zombies_;
+  zombies.clear();
   for (const CausalSpan& s : t.spans) {
     if (s.segment == Segment::kAttempt &&
         (winner == nullptr || s.span_id != winner->span_id)) {
       zombies.push_back(s.span_id);
     }
   }
-  std::vector<const CausalSpan*> kids;
+  std::vector<const CausalSpan*>& kids = kids_;
+  kids.clear();
   for (const CausalSpan& s : t.spans) {
     if (s.segment != Segment::kNetwork && s.segment != Segment::kQueue &&
         s.segment != Segment::kService) {
@@ -250,22 +270,16 @@ bool RequestTracer::retain(double latency_s, TraceOutcome outcome) const {
   }
   if (exemplars_.size() < params_.max_exemplars) return true;
   // Reservoir full: qualify only if slower than the fastest retained tree.
-  double fastest = std::numeric_limits<double>::infinity();
-  for (const ExemplarTrace& e : exemplars_) {
-    const double lat =
-        static_cast<double>(e.finish_ps - e.start_ps) * 1e-12;
-    if (e.outcome == TraceOutcome::kCompleted) fastest = std::min(fastest, lat);
-  }
-  return latency_s > fastest;
+  return latency_s > fastest_retained_s_;
 }
 
 bool RequestTracer::finish(std::uint64_t trace_id, std::int64_t ts_ps,
                            TraceOutcome outcome) {
   if (!enabled() || trace_id == 0) return false;
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = live_.find(trace_id);
-  if (it == live_.end()) return false;
-  LiveTrace& t = it->second;
+  LiveTrace* live = find_live(trace_id);
+  if (live == nullptr) return false;
+  LiveTrace& t = *live;
 
   for (CausalSpan& s : t.spans) {
     if (s.end_ps < 0) s.end_ps = std::max(ts_ps, s.start_ps);
@@ -285,7 +299,7 @@ bool RequestTracer::finish(std::uint64_t trace_id, std::int64_t ts_ps,
     ex.finish_ps = ts_ps;
     ex.outcome = outcome;
     ex.path = path;
-    ex.spans = std::move(t.spans);
+    ex.spans = t.spans;
     exemplars_.push_back(std::move(ex));
     if (exemplars_.size() > params_.max_exemplars) {
       // Evict the fastest completed tree; failures are never evicted while a
@@ -304,8 +318,30 @@ bool RequestTracer::finish(std::uint64_t trace_id, std::int64_t ts_ps,
       if (fastest == exemplars_.end()) fastest = exemplars_.begin();
       exemplars_.erase(fastest);
     }
+    fastest_retained_s_ = std::numeric_limits<double>::infinity();
+    for (const ExemplarTrace& e : exemplars_) {
+      const double lat = static_cast<double>(e.finish_ps - e.start_ps) * 1e-12;
+      if (e.outcome == TraceOutcome::kCompleted) {
+        fastest_retained_s_ = std::min(fastest_retained_s_, lat);
+      }
+    }
   }
-  live_.erase(it);
+
+  // Return the slot to the pool (keeping its span capacity) and advance the
+  // id window past every finished trace at its front.
+  std::uint32_t& entry = window_[window_head_ + (trace_id - window_base_)];
+  free_slots_.push_back(entry);
+  entry = kNoSlot;
+  t.trace_id = 0;
+  t.spans.clear();
+  while (window_head_ < window_.size() && window_[window_head_] == kNoSlot) {
+    ++window_head_;
+    ++window_base_;
+  }
+  if (window_head_ * 2 >= window_.size()) {
+    window_.erase(window_.begin(), window_.begin() + window_head_);
+    window_head_ = 0;
+  }
   return keep;
 }
 
@@ -418,9 +454,14 @@ void RequestTracer::export_chrome(TraceRecorder& recorder) const {
 
 void RequestTracer::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  live_.clear();
+  slots_.clear();
+  free_slots_.clear();
+  window_.clear();
+  window_head_ = 0;
+  window_base_ = 1;
   records_.clear();
   exemplars_.clear();
+  fastest_retained_s_ = std::numeric_limits<double>::infinity();
   next_trace_ = 1;
   next_span_ = 1;
 }

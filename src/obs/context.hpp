@@ -38,10 +38,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -222,25 +223,49 @@ class RequestTracer {
   static RequestTracer& global();
 
  private:
+  /// One pooled live trace. A finished trace's slot goes back on the free
+  /// list with its span vector's capacity intact, so the steady state
+  /// allocates nothing per trace or per span. Spans are appended with
+  /// globally increasing ids, so `spans` is sorted by span_id.
   struct LiveTrace {
+    std::uint64_t trace_id = 0;  // 0 = free slot
     std::string name;
     std::int64_t start_ps = 0;
     std::vector<CausalSpan> spans;
-    std::map<std::uint64_t, std::size_t> span_index;
   };
   struct FinishedRecord {
     double latency_s = 0.0;
     CriticalPath path;
   };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  static CriticalPath critical_path(const LiveTrace& t, std::int64_t total);
+  LiveTrace* find_live(std::uint64_t trace_id);
+  static CausalSpan* find_span(LiveTrace& t, std::uint64_t span_id);
+  CriticalPath critical_path(const LiveTrace& t, std::int64_t total);
   bool retain(double latency_s, TraceOutcome outcome) const;
 
   mutable std::mutex mutex_;
   ExemplarParams params_;
-  std::map<std::uint64_t, LiveTrace> live_;
+  std::vector<LiveTrace> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  /// Trace ids are handed out in sequence, so live traces are found through
+  /// a window indexed by id: window_[window_head_ + (id - window_base_)]
+  /// holds the slot of trace `id`, or kNoSlot once it finished. The base
+  /// advances past finished traces and the dead prefix is dropped once it
+  /// is half the vector; a long-lived open trace holds the base back and
+  /// the window grows to cover every id issued since.
+  std::vector<std::uint32_t> window_;
+  std::size_t window_head_ = 0;
+  std::uint64_t window_base_ = 1;
+  /// critical_path scratch, kept across calls.
+  std::vector<std::pair<std::int64_t, std::int64_t>> claimed_;
+  std::vector<std::uint64_t> zombies_;
+  std::vector<const CausalSpan*> kids_;
   std::vector<FinishedRecord> records_;
   std::vector<ExemplarTrace> exemplars_;
+  /// Latency of the fastest completed exemplar (infinity when none), kept
+  /// up to date as exemplars_ changes so retain() need not scan it.
+  double fastest_retained_s_ = std::numeric_limits<double>::infinity();
   std::uint64_t next_trace_ = 1;
   std::uint64_t next_span_ = 1;
   std::atomic<bool> enabled_{false};

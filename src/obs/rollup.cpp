@@ -31,51 +31,45 @@ WindowedSeries::WindowedSeries(std::int64_t window, Kind kind)
   if (window_ <= 0) throw std::invalid_argument{"window width must be > 0"};
 }
 
-void WindowedSeries::record(std::int64_t ts, double v) noexcept {
+void WindowedSeries::add(std::int64_t ts, double v, std::uint64_t n) noexcept {
   const std::int64_t idx = floor_div(ts, window_);
-  auto [it, inserted] = buckets_.try_emplace(idx);
-  WindowStats& w = it->second;
-  if (inserted) {
-    w.start = idx * window_;
+  if (windows_.empty()) first_ = idx;
+  if (idx < first_) {
+    windows_.insert(windows_.begin(), static_cast<std::size_t>(first_ - idx),
+                    WindowStats{});
+    first_ = idx;
+  }
+  const auto i = static_cast<std::size_t>(idx - first_);
+  if (i >= windows_.size()) windows_.resize(i + 1);
+  WindowStats& w = windows_[i];
+  if (w.count == 0) {
     w.min = v;
     w.max = v;
   } else {
     w.min = std::min(w.min, v);
     w.max = std::max(w.max, v);
   }
-  ++w.count;
-  w.sum += v;
+  w.count += n;
+  w.sum += v * static_cast<double>(n);
   w.last = v;
 }
 
 std::vector<WindowStats> WindowedSeries::windows() const {
-  std::vector<WindowStats> out;
-  if (buckets_.empty()) return out;
-  const std::int64_t first = buckets_.begin()->first;
-  const std::int64_t last = buckets_.rbegin()->first;
-  out.reserve(static_cast<std::size_t>(last - first + 1));
-  auto it = buckets_.begin();
-  for (std::int64_t idx = first; idx <= last; ++idx) {
-    if (it != buckets_.end() && it->first == idx) {
-      out.push_back(it->second);
-      ++it;
-    } else {
-      WindowStats gap;
-      gap.start = idx * window_;
-      out.push_back(gap);
-    }
+  std::vector<WindowStats> out = windows_;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].start = (first_ + static_cast<std::int64_t>(i)) * window_;
   }
   return out;
 }
 
 double WindowedSeries::sum_range(std::int64_t from, std::int64_t to) const {
-  if (to <= from) return 0.0;
-  const std::int64_t lo = floor_div(from, window_);
-  const std::int64_t hi = floor_div(to - 1, window_);
+  if (to <= from || windows_.empty()) return 0.0;
+  const std::int64_t last = first_ + static_cast<std::int64_t>(windows_.size()) - 1;
+  const std::int64_t lo = std::max(floor_div(from, window_), first_);
+  const std::int64_t hi = std::min(floor_div(to - 1, window_), last);
   double total = 0.0;
-  for (auto it = buckets_.lower_bound(lo);
-       it != buckets_.end() && it->first <= hi; ++it) {
-    total += static_cast<double>(it->second.count);
+  for (std::int64_t idx = lo; idx <= hi; ++idx) {
+    total += static_cast<double>(windows_[static_cast<std::size_t>(idx - first_)].count);
   }
   return total;
 }
@@ -170,25 +164,27 @@ AlertEngine::AlertEngine(AlertParams params)
 }
 
 void AlertEngine::record_good(std::int64_t ts, std::uint64_t n) noexcept {
-  for (std::uint64_t i = 0; i < n; ++i) good_.record(ts, 1.0);
+  if (n > 0) good_.add(ts, 1.0, n);
 }
 
 void AlertEngine::record_bad(std::int64_t ts, std::uint64_t n) noexcept {
-  for (std::uint64_t i = 0; i < n; ++i) bad_.record(ts, 1.0);
+  if (n > 0) bad_.add(ts, 1.0, n);
+}
+
+AlertEngine::Burn AlertEngine::burn_over(std::int64_t begin,
+                                         std::int64_t end) const {
+  const double bad = bad_.sum_range(begin, end);
+  const double total = good_.sum_range(begin, end) + bad;
+  const double budget = 1.0 - params_.objective;
+  return {total > 0.0 ? (bad / total) / budget : 0.0, total};
 }
 
 double AlertEngine::burn_rate(std::int64_t ts,
                               std::size_t lookback_windows) const {
   const std::int64_t w = params_.window;
   const std::int64_t end = (floor_div(ts, w) + 1) * w;
-  const std::int64_t begin =
-      end - static_cast<std::int64_t>(lookback_windows) * w;
-  const double good = good_.sum_range(begin, end);
-  const double bad = bad_.sum_range(begin, end);
-  const double total = good + bad;
-  if (total <= 0.0) return 0.0;
-  const double budget = 1.0 - params_.objective;
-  return (bad / total) / budget;
+  return burn_over(end - static_cast<std::int64_t>(lookback_windows) * w, end)
+      .rate;
 }
 
 std::vector<Alert> AlertEngine::alerts(std::int64_t horizon) const {
@@ -201,24 +197,15 @@ std::vector<Alert> AlertEngine::alerts(std::int64_t horizon) const {
     for (std::int64_t idx = 0; idx <= last_window; ++idx) {
       const std::int64_t end = (idx + 1) * w;
       if (end > horizon) break;  // evaluate closed windows only
-      const std::int64_t short_begin =
-          end - static_cast<std::int64_t>(rule.short_windows) * w;
-      const std::int64_t long_begin =
-          end - static_cast<std::int64_t>(rule.long_windows) * w;
-      const double short_good = good_.sum_range(short_begin, end);
-      const double short_bad = bad_.sum_range(short_begin, end);
-      const double long_good = good_.sum_range(long_begin, end);
-      const double long_bad = bad_.sum_range(long_begin, end);
-      const double budget = 1.0 - params_.objective;
-      const double short_total = short_good + short_bad;
-      const double long_total = long_good + long_bad;
-      const double burn_short =
-          short_total > 0.0 ? (short_bad / short_total) / budget : 0.0;
-      const double burn_long =
-          long_total > 0.0 ? (long_bad / long_total) / budget : 0.0;
+      const Burn short_burn = burn_over(
+          end - static_cast<std::int64_t>(rule.short_windows) * w, end);
+      const Burn long_burn = burn_over(
+          end - static_cast<std::int64_t>(rule.long_windows) * w, end);
+      const double burn_short = short_burn.rate;
+      const double burn_long = long_burn.rate;
 
       if (!active) {
-        if (long_total >= static_cast<double>(params_.min_events) &&
+        if (long_burn.events >= static_cast<double>(params_.min_events) &&
             burn_short >= rule.burn_threshold &&
             burn_long >= rule.burn_threshold) {
           Alert a;

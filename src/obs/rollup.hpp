@@ -58,11 +58,10 @@ class WindowedSeries {
 
   WindowedSeries(std::int64_t window, Kind kind);
 
-  void record(std::int64_t ts, double v) noexcept;
+  void record(std::int64_t ts, double v) noexcept { add(ts, v, 1); }
 
   Kind kind() const noexcept { return kind_; }
   std::int64_t window() const noexcept { return window_; }
-  std::size_t window_count() const noexcept { return buckets_.size(); }
 
   /// Dense snapshot from the first to the last touched window; windows with
   /// no observations appear with count 0 (a gap in a counter series means
@@ -73,12 +72,21 @@ class WindowedSeries {
   /// [from, to).
   double sum_range(std::int64_t from, std::int64_t to) const;
 
-  void clear() { buckets_.clear(); }
+  void clear() { windows_.clear(); }
 
  private:
+  friend class AlertEngine;
+  /// `n` observations of `v` in the window containing `ts`.
+  void add(std::int64_t ts, double v, std::uint64_t n) noexcept;
+
   std::int64_t window_;
   Kind kind_;
-  std::map<std::int64_t, WindowStats> buckets_;  // key = window index
+  /// Dense windows from the first touched index on: windows_[i] covers
+  /// window index first_ + i, so a record is O(1) (amortized; a record
+  /// before first_ shifts the vector once). `start` is filled in by
+  /// windows(), not kept here.
+  std::int64_t first_ = 0;
+  std::vector<WindowStats> windows_;
 };
 
 /// Named registry of windowed series sharing one window width.
@@ -160,6 +168,12 @@ class AlertEngine {
   void clear();
 
  private:
+  struct Burn {
+    double rate = 0.0;    // burn rate over the lookback
+    double events = 0.0;  // good + bad events in it
+  };
+  Burn burn_over(std::int64_t begin, std::int64_t end) const;
+
   AlertParams params_;
   WindowedSeries good_;
   WindowedSeries bad_;

@@ -60,12 +60,16 @@ void SloAccountant::attach_telemetry(obs::Rollup* rollup,
   rollup_ = rollup;
   alerts_ = alerts;
   slo_latency_s_ = slo_latency_s;
+  issued_s_ = completed_s_ = rejected_s_ = failed_s_ = latency_s_ = nullptr;
 }
 
 void SloAccountant::on_issued(const Request& req) {
   ++issued_;
   if (obs::enabled()) ServeMetrics::get().issued->add();
-  if (rollup_ != nullptr) rollup_->counter("serve.issued").record(req.issued, 1.0);
+  if (rollup_ != nullptr) {
+    if (issued_s_ == nullptr) issued_s_ = &rollup_->counter("serve.issued");
+    issued_s_->record(req.issued, 1.0);
+  }
   auto& tracer = obs::TraceRecorder::global();
   if (tracer.enabled()) {
     tracer.async_begin("serve.request", op_name(req.op), req.id, req.issued,
@@ -96,8 +100,12 @@ void SloAccountant::on_completed(const Request& req, sim::SimTime now) {
     }
   }
   if (rollup_ != nullptr) {
-    rollup_->counter("serve.completed").record(now, 1.0);
-    rollup_->value("serve.latency_s").record(now, seconds);
+    if (completed_s_ == nullptr) {
+      completed_s_ = &rollup_->counter("serve.completed");
+      latency_s_ = &rollup_->value("serve.latency_s");
+    }
+    completed_s_->record(now, 1.0);
+    latency_s_->record(now, seconds);
   }
   if (alerts_ != nullptr) {
     const bool good = slo_latency_s_ <= 0.0 || seconds <= slo_latency_s_;
@@ -124,7 +132,10 @@ void SloAccountant::on_rejected(const Request& req, Overloaded reason,
   if (causal.enabled() && req.trace.active()) {
     causal.finish(req.trace.trace_id, now, obs::TraceOutcome::kRejected);
   }
-  if (rollup_ != nullptr) rollup_->counter("serve.rejected").record(now, 1.0);
+  if (rollup_ != nullptr) {
+    if (rejected_s_ == nullptr) rejected_s_ = &rollup_->counter("serve.rejected");
+    rejected_s_->record(now, 1.0);
+  }
   if (alerts_ != nullptr) alerts_->record_bad(now);
   auto& tracer = obs::TraceRecorder::global();
   if (tracer.enabled()) {
@@ -141,7 +152,10 @@ void SloAccountant::on_failed(const Request& req, sim::SimTime now) {
   if (causal.enabled() && req.trace.active()) {
     causal.finish(req.trace.trace_id, now, obs::TraceOutcome::kFailed);
   }
-  if (rollup_ != nullptr) rollup_->counter("serve.failed").record(now, 1.0);
+  if (rollup_ != nullptr) {
+    if (failed_s_ == nullptr) failed_s_ = &rollup_->counter("serve.failed");
+    failed_s_->record(now, 1.0);
+  }
   if (alerts_ != nullptr) alerts_->record_bad(now);
   auto& tracer = obs::TraceRecorder::global();
   if (tracer.enabled()) {

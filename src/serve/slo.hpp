@@ -72,6 +72,13 @@ class SloAccountant {
   sim::PercentileTracker latency_;
   obs::Rollup* rollup_ = nullptr;          // not owned
   obs::AlertEngine* alerts_ = nullptr;     // not owned
+  /// rollup_'s series, resolved on first record so the rollup lists only
+  /// series that saw data.
+  obs::WindowedSeries* issued_s_ = nullptr;
+  obs::WindowedSeries* completed_s_ = nullptr;
+  obs::WindowedSeries* rejected_s_ = nullptr;
+  obs::WindowedSeries* failed_s_ = nullptr;
+  obs::WindowedSeries* latency_s_ = nullptr;
   double slo_latency_s_ = 0.0;
 };
 

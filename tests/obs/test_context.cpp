@@ -369,5 +369,150 @@ TEST(RequestTracer, ClearResetsEverything) {
   EXPECT_EQ(again.span_id, ctx.span_id);
 }
 
+TEST(RequestTracer, InterleavedTracesFinishOutOfOrder) {
+  RequestTracer tr;
+  tr.set_enabled(true);
+  // Three live traces with interleaved spans; finished newest-first so the
+  // id window cannot advance until the oldest closes.
+  const TraceContext a = tr.start_trace("a", 0);
+  const TraceContext b = tr.start_trace("b", 5);
+  const std::uint64_t a1 = tr.begin_span(a, Segment::kQueue, "queue", 10);
+  const TraceContext c = tr.start_trace("c", 12);
+  const std::uint64_t b1 = tr.begin_span(b, Segment::kQueue, "queue", 15);
+  const std::uint64_t c1 = tr.begin_span(c, Segment::kQueue, "queue", 16);
+  const std::uint64_t a2 = tr.begin_span(a, Segment::kService, "service", 20);
+  tr.end_span(c.trace_id, c1, 30);
+  tr.end_span(a.trace_id, a1, 20);
+  tr.end_span(b.trace_id, b1, 40);
+  tr.end_span(a.trace_id, a2, 50);
+  ASSERT_TRUE(tr.finish(c.trace_id, 60, TraceOutcome::kFailed));
+  ASSERT_TRUE(tr.finish(b.trace_id, 70, TraceOutcome::kFailed));
+  ASSERT_TRUE(tr.finish(a.trace_id, 80, TraceOutcome::kFailed));
+  EXPECT_EQ(tr.finished(), 3u);
+
+  // Each tree holds exactly its own spans, in record order, closed where
+  // its own end_span said.
+  for (const ExemplarTrace& ex : tr.exemplars()) {
+    if (ex.trace_id == a.trace_id) {
+      ASSERT_EQ(ex.spans.size(), 3u);
+      EXPECT_EQ(ex.spans[1].span_id, a1);
+      EXPECT_EQ(ex.spans[1].end_ps, 20);
+      EXPECT_EQ(ex.spans[2].span_id, a2);
+      EXPECT_EQ(ex.spans[2].end_ps, 50);
+    } else if (ex.trace_id == b.trace_id) {
+      ASSERT_EQ(ex.spans.size(), 2u);
+      EXPECT_EQ(ex.spans[1].span_id, b1);
+      EXPECT_EQ(ex.spans[1].end_ps, 40);
+    } else {
+      ASSERT_EQ(ex.trace_id, c.trace_id);
+      ASSERT_EQ(ex.spans.size(), 2u);
+      EXPECT_EQ(ex.spans[1].span_id, c1);
+      EXPECT_EQ(ex.spans[1].end_ps, 30);
+    }
+  }
+  // Ids keep counting up after every live trace finished.
+  const TraceContext d = tr.start_trace("d", 90);
+  EXPECT_EQ(d.trace_id, c.trace_id + 1);
+}
+
+TEST(RequestTracer, StaleIdsNeverTouchTheNextOccupant) {
+  RequestTracer tr;
+  tr.set_enabled(true);
+  const TraceContext old = tr.start_trace("old", 0);
+  const std::uint64_t old_span =
+      tr.begin_span(old, Segment::kAttempt, "attempt", 0, 1);
+  tr.finish(old.trace_id, 10, TraceOutcome::kFailed);
+
+  // The next trace reuses the finished trace's pooled slot.
+  const TraceContext cur = tr.start_trace("cur", 20);
+  const std::uint64_t cur_span =
+      tr.begin_span(cur, Segment::kAttempt, "attempt", 20, 2);
+  // Late calls for the finished trace: all ignored.
+  tr.end_span(old.trace_id, old_span, 25);
+  tr.end_span(old.trace_id, cur_span, 25);
+  tr.mark_won(old.trace_id, cur_span);
+  EXPECT_EQ(tr.begin_span(old, Segment::kQueue, "queue", 25), 0u);
+  EXPECT_EQ(tr.add_span(old, Segment::kBackoff, "backoff", 25, 26), 0u);
+  tr.finish(old.trace_id, 30, TraceOutcome::kCompleted);
+  EXPECT_EQ(tr.finished(), 1u);
+
+  ASSERT_TRUE(tr.finish(cur.trace_id, 40, TraceOutcome::kFailed));
+  const auto ex = tr.exemplars();
+  ASSERT_EQ(ex.size(), 2u);
+  const ExemplarTrace& t = ex[0].trace_id == cur.trace_id ? ex[0] : ex[1];
+  ASSERT_EQ(t.trace_id, cur.trace_id);
+  ASSERT_EQ(t.spans.size(), 2u);
+  EXPECT_EQ(t.spans[1].span_id, cur_span);
+  EXPECT_FALSE(t.spans[1].won);
+  EXPECT_EQ(t.spans[1].end_ps, 40);  // clamped at finish, not closed at 25
+}
+
+TEST(RequestTracer, ClearWhileTracesAreLive) {
+  RequestTracer tr;
+  tr.set_enabled(true);
+  const TraceContext a = tr.start_trace("a", 0);
+  const TraceContext b = tr.start_trace("b", 0);
+  tr.begin_span(b, Segment::kQueue, "queue", 1);
+  tr.clear();
+  // The cleared traces are gone, and their ids restart at 1.
+  EXPECT_FALSE(tr.finish(b.trace_id + 1, 5, TraceOutcome::kCompleted));
+  const TraceContext fresh = tr.start_trace("fresh", 10);
+  EXPECT_EQ(fresh.trace_id, 1u);
+  EXPECT_EQ(fresh.span_id, 1u);
+  EXPECT_EQ(fresh.trace_id, a.trace_id);
+  const std::uint64_t s = tr.begin_span(fresh, Segment::kQueue, "queue", 11);
+  EXPECT_EQ(s, 2u);
+  tr.end_span(fresh.trace_id, s, 12);
+  ASSERT_TRUE(tr.finish(fresh.trace_id, 20, TraceOutcome::kFailed));
+  const auto ex = tr.exemplars();
+  ASSERT_EQ(ex.size(), 1u);
+  ASSERT_EQ(ex[0].spans.size(), 2u);  // nothing of the pre-clear trace 1
+  EXPECT_EQ(ex[0].name, "fresh");
+  EXPECT_EQ(ex[0].spans[1].end_ps, 12);
+  // Trace 2 was cleared, not finished: it is unknown until reissued.
+  EXPECT_EQ(tr.begin_span(b, Segment::kQueue, "queue", 21), 0u);
+}
+
+TEST(RequestTracer, WindowAdvancesPastLongLivedOpenTrace) {
+  RequestTracer tr;
+  tr.set_enabled(true);
+  ExemplarParams p;
+  p.max_exemplars = 0;  // keep only the compact records
+  tr.set_params(p);
+  const TraceContext keeper = tr.start_trace("keeper", 0);
+  // Thousands of short traces start and finish while `keeper` stays open,
+  // far more than any initial id-window capacity.
+  for (int i = 0; i < 5000; ++i) {
+    const TraceContext t = tr.start_trace("short", i);
+    const std::uint64_t s = tr.begin_span(t, Segment::kQueue, "queue", i);
+    tr.end_span(t.trace_id, s, i + 1);
+    tr.finish(t.trace_id, i + 2, TraceOutcome::kCompleted);
+    // Let a few overlap so the window holds gaps behind live entries.
+    if (i % 7 == 0) {
+      const TraceContext o = tr.start_trace("overlap", i);
+      tr.begin_span(o, Segment::kQueue, "queue", i);
+      tr.finish(o.trace_id, i + 3, TraceOutcome::kCompleted);
+    }
+  }
+  // The long-lived trace is still reachable and still takes spans.
+  const std::uint64_t late =
+      tr.begin_span(keeper, Segment::kService, "service", 6000);
+  EXPECT_NE(late, 0u);
+  tr.end_span(keeper.trace_id, late, 6500);
+  p.max_exemplars = 4;
+  tr.set_params(p);
+  ASSERT_TRUE(tr.finish(keeper.trace_id, 7000, TraceOutcome::kCompleted));
+  const auto ex = tr.exemplars();
+  ASSERT_EQ(ex.size(), 1u);
+  EXPECT_EQ(ex[0].trace_id, keeper.trace_id);
+  ASSERT_EQ(ex[0].spans.size(), 2u);
+  EXPECT_EQ(ex[0].spans[1].span_id, late);
+  EXPECT_EQ(ex[0].spans[1].duration_ps(), 500);
+  // And with the window drained, new traces land normally.
+  const TraceContext next = tr.start_trace("next", 8000);
+  EXPECT_TRUE(next.active());
+  EXPECT_NE(tr.begin_span(next, Segment::kQueue, "queue", 8000), 0u);
+}
+
 }  // namespace
 }  // namespace rb::obs

@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/rollup.hpp"
@@ -100,6 +102,55 @@ TEST(Rollup, JsonExportParsesWithDenseWindows) {
   const auto& windows = series[0].at("windows").array;
   ASSERT_EQ(windows.size(), 3u);  // dense snapshot includes the gap window
   EXPECT_DOUBLE_EQ(windows[1].at("count").number, 0.0);
+}
+
+TEST(WindowedSeries, RecordBeforeFirstWindowPrepends) {
+  WindowedSeries s{10, WindowedSeries::Kind::kValue};
+  s.record(35, 4.0);
+  s.record(5, 2.0);   // three windows before the first touched one
+  s.record(-3, 1.0);  // and one more, at a negative index
+  s.record(7, 6.0);
+  const auto w = s.windows();
+  ASSERT_EQ(w.size(), 5u);
+  EXPECT_EQ(w[0].start, -10);
+  EXPECT_EQ(w[0].count, 1u);
+  EXPECT_EQ(w[1].start, 0);
+  EXPECT_EQ(w[1].count, 2u);
+  EXPECT_DOUBLE_EQ(w[1].min, 2.0);
+  EXPECT_DOUBLE_EQ(w[1].max, 6.0);
+  EXPECT_DOUBLE_EQ(w[1].last, 6.0);
+  EXPECT_EQ(w[2].start, 10);
+  EXPECT_EQ(w[2].count, 0u);
+  EXPECT_EQ(w[3].start, 20);
+  EXPECT_EQ(w[3].count, 0u);
+  EXPECT_EQ(w[4].start, 30);
+  EXPECT_DOUBLE_EQ(w[4].sum, 4.0);
+  EXPECT_DOUBLE_EQ(s.sum_range(-10, 40), 4.0);
+}
+
+TEST(WindowedSeries, SumRangeOutsideTouchedWindowsIsZero) {
+  WindowedSeries s{10, WindowedSeries::Kind::kCounter};
+  s.record(20, 1.0);
+  s.record(35, 1.0);
+  EXPECT_DOUBLE_EQ(s.sum_range(-100, 20), 0.0);  // entirely before
+  EXPECT_DOUBLE_EQ(s.sum_range(40, 100), 0.0);   // entirely after
+  EXPECT_DOUBLE_EQ(s.sum_range(0, 21), 1.0);     // straddles the first
+  EXPECT_DOUBLE_EQ(s.sum_range(39, 1000), 1.0);  // straddles the last
+  WindowedSeries empty{10, WindowedSeries::Kind::kCounter};
+  EXPECT_DOUBLE_EQ(empty.sum_range(-100, 100), 0.0);
+}
+
+TEST(Rollup, ListsOnlyCreatedSeries) {
+  // Names and JSON list the series that were created, whether or not they
+  // hold windows; clear() empties the windows and keeps the series.
+  Rollup r{10};
+  r.counter("serve.completed").record(0, 1.0);
+  EXPECT_EQ(r.names(), (std::vector<std::string>{"serve.completed"}));
+  const JsonValue doc = json_parse(r.to_json());
+  EXPECT_EQ(doc.at("series").array.size(), 1u);
+  r.clear();
+  EXPECT_EQ(r.names(), (std::vector<std::string>{"serve.completed"}));
+  EXPECT_TRUE(r.find("serve.completed")->windows().empty());
 }
 
 /// 0.9 objective (10% error budget), 10-tick windows, page at burn >= 5x —

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "faults/injector.hpp"
@@ -15,6 +16,8 @@
 #include "net/topology.hpp"
 #include "node/device.hpp"
 #include "obs/metrics.hpp"
+#include "obs/rollup.hpp"
+#include "serve/slo.hpp"
 #include "sim/simulator.hpp"
 
 namespace rb::serve {
@@ -194,6 +197,36 @@ TEST(FrontDoor, ExportsSloCountersThroughObs) {
   EXPECT_EQ(registry.counter("serve.requests_rejected").value(), r.rejected);
   EXPECT_EQ(registry.counter("serve.requests_failed").value(), r.failed);
   registry.reset_for_test();
+}
+
+TEST(SloAccountant, CreatesRollupSeriesOnFirstRecord) {
+  obs::Rollup rollup{10 * sim::kMillisecond};
+  SloAccountant slo;
+  slo.attach_telemetry(&rollup, nullptr);
+  EXPECT_TRUE(rollup.names().empty());
+  Request req;
+  req.id = 1;
+  slo.on_issued(req);
+  slo.on_completed(req, 5 * sim::kMillisecond);
+  // No rejection or failure happened, so neither series exists.
+  EXPECT_EQ(rollup.names(),
+            (std::vector<std::string>{"serve.completed", "serve.issued",
+                                      "serve.latency_s"}));
+
+  // Re-attaching to another rollup moves every series with it.
+  obs::Rollup other{10 * sim::kMillisecond};
+  slo.attach_telemetry(&other, nullptr);
+  Request late;
+  late.id = 2;
+  late.issued = 20 * sim::kMillisecond;
+  slo.on_issued(late);
+  slo.on_failed(late, 30 * sim::kMillisecond);
+  EXPECT_EQ(other.names(),
+            (std::vector<std::string>{"serve.failed", "serve.issued"}));
+  EXPECT_DOUBLE_EQ(rollup.find("serve.issued")->sum_range(0, sim::kSecond),
+                   1.0);
+  EXPECT_DOUBLE_EQ(other.find("serve.issued")->sum_range(0, sim::kSecond),
+                   1.0);
 }
 
 TEST(FrontDoor, RejectsDegenerateParameters) {
