@@ -36,14 +36,16 @@ class IsaGuard {
   bool ok_;
 };
 
-/// Best-of-`rounds` times of `fn(kernels())` under the scalar kernels and
+/// Timed attempts per side (the bench reports "best of 7").
+constexpr int kRounds = 7;
+
+/// Best-of-kRounds times of `fn(kernels())` under the scalar kernels and
 /// under `tuned`, divided by `reps`. Scalar and tuned attempts alternate, so
 /// a slow spell of the host lands on both sides instead of skewing the
 /// ratio. nullopt when `tuned` cannot be selected.
-std::optional<MeasuredKernel> measure_ab(Isa tuned, int rounds, int reps,
-                                         const auto& fn) {
+std::optional<MeasuredKernel> measure_ab(Isa tuned, int reps, const auto& fn) {
   double best[2] = {1e300, 1e300};
-  for (int a = 0; a < rounds; ++a) {
+  for (int a = 0; a < kRounds; ++a) {
     for (int side = 0; side < 2; ++side) {
       IsaGuard g{side == 0 ? Isa::kScalar : tuned};
       if (!g.ok()) return std::nullopt;
@@ -62,9 +64,6 @@ std::optional<MeasuredKernel> measure_ab(Isa tuned, int rounds, int reps,
   r.speedup = r.tuned_ms > 0.0 ? r.scalar_ms / r.tuned_ms : 1.0;
   return r;
 }
-
-/// Timed attempts per side (the bench reports "best of 7").
-constexpr int kRounds = 7;
 
 std::uint64_t splitmix64(std::uint64_t& s) noexcept {
   s += 0x9e3779b97f4a7c15ULL;
@@ -92,7 +91,7 @@ std::optional<MeasuredKernel> measure_select_scan(std::uint64_t rows) {
   // counts; per-rep times come out of the division in measure_ab.
   const int reps = static_cast<int>((1u << 22) / rows + 1);
   volatile std::size_t sink = 0;
-  return measure_ab(best, kRounds, reps, [&](const Kernels& k) {
+  return measure_ab(best, reps, [&](const Kernels& k) {
     sink = k.select_between(values.data(), rows, lo, hi, out.data());
   });
 }
@@ -129,7 +128,7 @@ std::optional<MeasuredKernel> measure_join_probe(std::uint64_t probe_rows) {
   AlignedBuf<std::uint8_t> found{probe_rows};
 
   const int reps = static_cast<int>((1u << 19) / probe_rows + 1);
-  return measure_ab(best, kRounds, reps, [&](const Kernels& k) {
+  return measure_ab(best, reps, [&](const Kernels& k) {
     k.hash_find_batch(slot_words.data(), mask, keys.data(), probe_rows,
                       values.data(), found.data());
   });

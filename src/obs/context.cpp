@@ -70,18 +70,15 @@ TraceContext RequestTracer::start_trace(std::string_view name,
   const std::uint64_t trace_id = next_trace_++;
   const std::uint64_t span_id = next_span_++;
 
-  std::uint32_t slot;
   if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
     slots_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
   }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
   window_.push_back(slot);
 
   LiveTrace& t = slots_[slot];
-  t.trace_id = trace_id;
   t.name.assign(name);
   t.start_ps = ts_ps;
   CausalSpan& root = t.spans.emplace_back();
@@ -332,7 +329,6 @@ bool RequestTracer::finish(std::uint64_t trace_id, std::int64_t ts_ps,
   std::uint32_t& entry = window_[window_head_ + (trace_id - window_base_)];
   free_slots_.push_back(entry);
   entry = kNoSlot;
-  t.trace_id = 0;
   t.spans.clear();
   while (window_head_ < window_.size() && window_[window_head_] == kNoSlot) {
     ++window_head_;

@@ -228,7 +228,6 @@ class RequestTracer {
   /// allocates nothing per trace or per span. Spans are appended with
   /// globally increasing ids, so `spans` is sorted by span_id.
   struct LiveTrace {
-    std::uint64_t trace_id = 0;  // 0 = free slot
     std::string name;
     std::int64_t start_ps = 0;
     std::vector<CausalSpan> spans;
