@@ -5,8 +5,8 @@
 // cache-resident inputs. Section 2 reports the headline tuned-vs-scalar
 // gaps through accel::simd::measure_* — the same numbers E2/E8 consume.
 // Section 3 (full mode only) times the remaining blocks backing E2/E10:
-// radix hash join (partitioning ablation), radix sort, group aggregation,
-// blocked GEMM, Aho-Corasick matching, tokenization.
+// radix sort, blocked GEMM, Aho-Corasick matching, tokenization. (Join and
+// aggregation are query-engine operators, timed by bench_ext_query_engine.)
 //
 // In --quick mode the bench gates on the SIMD layer earning its keep:
 // selection scan >= 4x and join probe >= 3x over scalar, exiting 1 on a
@@ -21,9 +21,7 @@
 #include <cstring>
 #include <vector>
 
-#include "accel/aggregate.hpp"
 #include "accel/gemm.hpp"
-#include "accel/hash_join.hpp"
 #include "accel/simd/measure.hpp"
 #include "accel/simd/simd.hpp"
 #include "accel/sort.hpp"
@@ -159,21 +157,6 @@ void bench_blocks(bench::Report& report) {
   };
 
   {
-    const auto tables = workloads::order_tables(1 << 17, 4.0, 0.6, 2);
-    for (const int bits : {0, 6}) {
-      accel::JoinParams params;
-      params.radix_bits = bits;
-      volatile std::uint64_t sink = 0;
-      const double ms = best_ms(3, [&] {
-        sink = accel::hash_join_count(tables.orders, tables.lineitems,
-                                      params);
-      });
-      (void)sink;
-      record(bits == 0 ? "hash_join(radix=0)" : "hash_join(radix=6)", ms,
-             static_cast<double>(tables.lineitems.size()) / ms);
-    }
-  }
-  {
     sim::Rng rng{3};
     std::vector<std::uint64_t> base(1 << 20);
     for (auto& k : base) k = rng();
@@ -182,19 +165,6 @@ void bench_blocks(bench::Report& report) {
       accel::radix_sort(keys);
     });
     record("radix_sort(1M)", ms, static_cast<double>(base.size()) / ms);
-  }
-  {
-    sim::Rng rng{5};
-    std::vector<accel::Row> rows(1 << 20);
-    for (auto& r : rows) {
-      r = accel::Row{rng.uniform_index(1000), rng.uniform_index(100)};
-    }
-    volatile std::size_t sink = 0;
-    const double ms = best_ms(3, [&] {
-      sink = accel::group_aggregate(rows, accel::AggOp::kSum).size();
-    });
-    (void)sink;
-    record("group_aggregate(1M)", ms, static_cast<double>(rows.size()) / ms);
   }
   {
     const std::size_t n = 128;

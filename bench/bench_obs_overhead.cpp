@@ -4,8 +4,8 @@
 // runs under two telemetry tails — matching where the shipping
 // instrumentation actually sits (after the fill, never inside it):
 //
-//  * NoopSink   — the compile-time no-op mirror types (obs::NoopCounter);
-//                 the optimizer deletes every telemetry statement;
+//  * NoopSink   — an empty telemetry tail: the baseline with no
+//                 telemetry statement at all;
 //  * GuardedSink — the shipping instrumentation: real registry-backed
 //                 counters behind the runtime obs::enabled() check, with
 //                 observability left OFF (the default).
@@ -33,7 +33,6 @@
 namespace {
 
 using rb::obs::Counter;
-using rb::obs::NoopCounter;
 
 /// Telemetry exactly as the instrumented stack does it when everything is
 /// off: one relaxed atomic load for the metric guard, one for the causal
@@ -63,8 +62,6 @@ struct GuardedSink {
 };
 
 struct NoopSink {
-  NoopCounter fills;
-  rb::obs::NoopGauge total_rate;
   void on_fill(double) {}
 };
 
@@ -201,7 +198,6 @@ struct OpGuardedSink {
 };
 
 struct OpNoopSink {
-  NoopCounter rows_in, rows_out, batches;
   void on_batch(std::uint64_t, std::uint64_t) {}
 };
 
@@ -287,7 +283,6 @@ struct WalGuardedSink {
 };
 
 struct WalNoopSink {
-  NoopCounter appends, bytes;
   void on_append(std::uint64_t) {}
 };
 
@@ -355,7 +350,6 @@ struct SimdGuardedSink {
 };
 
 struct SimdNoopSink {
-  NoopCounter rows;
   void on_batch(std::uint64_t) {}
 };
 

@@ -1,10 +1,10 @@
 // SQL-era analytics on the framework-era substrate (paper Sec IV.C.1).
 //
-// The query layer compiles a classic revenue report — join orders to line
-// items, filter, aggregate, rank — onto the library's accelerated building
-// blocks (radix hash join, hash group-aggregate). The same fluent chain
-// then runs a second time through the vectorized push-based engine
-// (query/exec), which streams column batches through an operator pipeline
+// The query layer states a classic revenue report — join orders to line
+// items, filter, aggregate, rank — as one fluent chain. The row-at-a-time
+// reference interpreter runs it first; the same chain then runs through the
+// vectorized push-based engine (query/exec), which streams column batches
+// through an operator pipeline (one hash join, one hash group-aggregate)
 // instead of materializing a table per stage; the two answers must be
 // byte-identical. Finally the report is recomputed through the raw
 // dataflow API to show the two abstraction levels the paper contrasts

@@ -11,6 +11,7 @@ HashTable64::HashTable64(std::size_t expected) {
 }
 
 const std::uint64_t* HashTable64::find(std::uint64_t key) const noexcept {
+  if (key == kZeroSentinel) return has_sentinel_ ? &sentinel_value_ : nullptr;
   const std::uint64_t k = encode(key);
   std::size_t i = probe_start(k);
   for (;;) {
@@ -27,6 +28,13 @@ void HashTable64::find_batch(const std::uint64_t* keys, std::size_t n,
   simd::kernels().hash_find_batch(
       reinterpret_cast<const std::uint64_t*>(slots_.data()), mask_, keys, n,
       values, found);
+  // The kernel probes the sentinel key as remapped key 0; answer it from
+  // the entry beside the slots instead.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (keys[i] != kZeroSentinel) continue;
+    values[i] = has_sentinel_ ? sentinel_value_ : 0;
+    found[i] = has_sentinel_ ? 1 : 0;
+  }
 }
 
 void HashTable64::grow() {

@@ -1,10 +1,12 @@
 #pragma once
-// Open-addressing hash table specialized for 64-bit keys — the shared
-// engine under the hash-join and group-aggregate building blocks.
+// Open-addressing hash table specialized for 64-bit keys — the engine under
+// the query engine's hash join and group aggregate.
 //
 // Linear probing with a power-of-two capacity and multiplicative hashing;
 // key 0 is reserved as the empty slot marker, so the table transparently
-// remaps user key 0 to a sentinel.
+// remaps user key 0 to a sentinel. The user key equal to that sentinel
+// (INT64_MIN's bit pattern) is kept beside the slot array, so every key has
+// its own entry.
 
 #include <cstdint>
 #include <vector>
@@ -22,6 +24,11 @@ class HashTable64 {
   /// Insert key->value, or combine with the existing value via `op(old, v)`.
   template <typename Op>
   void upsert(std::uint64_t key, std::uint64_t value, Op op) {
+    if (key == kZeroSentinel) {
+      sentinel_value_ = has_sentinel_ ? op(sentinel_value_, value) : value;
+      has_sentinel_ = true;
+      return;
+    }
     if (size_ * 2 >= slots_.size()) grow();
     const std::uint64_t k = encode(key);
     std::size_t i = probe_start(k);
@@ -47,11 +54,11 @@ class HashTable64 {
   /// Batched lookup through the dispatched SIMD probe kernel: for each of
   /// the n keys, values[i] = stored value and found[i] = 1 when present,
   /// else values[i] = 0 and found[i] = 0. Bit-identical to calling find()
-  /// per key (same hash, same probe order, same key-0 remap).
+  /// per key.
   void find_batch(const std::uint64_t* keys, std::size_t n,
                   std::uint64_t* values, std::uint8_t* found) const noexcept;
 
-  std::size_t size() const noexcept { return size_; }
+  std::size_t size() const noexcept { return size_ + (has_sentinel_ ? 1 : 0); }
 
   /// Visit every (key, value) pair.
   template <typename Fn>
@@ -59,6 +66,7 @@ class HashTable64 {
     for (const auto& slot : slots_) {
       if (slot.key != kEmpty) fn(decode(slot.key), slot.value);
     }
+    if (has_sentinel_) fn(kZeroSentinel, sentinel_value_);
   }
 
  private:
@@ -88,7 +96,9 @@ class HashTable64 {
 
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;  // keys in slots_
+  bool has_sentinel_ = false;
+  std::uint64_t sentinel_value_ = 0;
 };
 
 }  // namespace rb::accel

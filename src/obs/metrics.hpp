@@ -12,16 +12,12 @@
 //    default off): instrumentation sites test one relaxed atomic load and a
 //    well-predicted branch, measured <2% on the max-min inner loop by
 //    `bench_obs_overhead`.
-//  * `NoopCounter`/`NoopGauge`/`NoopHistogram` are compile-time no-op mirrors
-//    with the same interface (checked by `MetricSinkLike` static_asserts), so
-//    generic code can instantiate a fully-stripped variant.
 //
 // This module sits below rb_sim in the dependency order (it knows nothing
 // about simulated time); callers pass plain numbers.
 
 #include <array>
 #include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -165,40 +161,6 @@ class LatencyHistogram {
 /// larger — the standard shape for latency distributions.
 std::vector<double> exponential_bounds(double start, double factor,
                                        std::size_t n);
-
-/// --- Compile-time no-op mirrors ---------------------------------------------
-
-struct NoopCounter {
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-};
-struct NoopGauge {
-  void set(double) noexcept {}
-  void add(double) noexcept {}
-  double value() const noexcept { return 0.0; }
-};
-struct NoopHistogram {
-  void observe(double) noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-  double sum() const noexcept { return 0.0; }
-};
-
-/// Interface parity between the real metrics and the stripped mirrors —
-/// the "compile-checked no-op path".
-template <typename C, typename G, typename H>
-inline constexpr bool MetricSinkLike =
-    requires(C c, G g, H h) {
-      c.add(std::uint64_t{1});
-      { c.value() } -> std::convertible_to<std::uint64_t>;
-      g.set(0.0);
-      g.add(0.0);
-      { g.value() } -> std::convertible_to<double>;
-      h.observe(0.0);
-      { h.count() } -> std::convertible_to<std::uint64_t>;
-    };
-
-static_assert(MetricSinkLike<Counter, Gauge, LatencyHistogram>);
-static_assert(MetricSinkLike<NoopCounter, NoopGauge, NoopHistogram>);
 
 /// --- Registry ---------------------------------------------------------------
 

@@ -32,7 +32,8 @@ void store_table(storage::LsmStore& store, const std::string& name,
                  const Table& table);
 
 /// Read a whole stored table back. Throws std::invalid_argument when no
-/// schema record exists under `name`, std::runtime_error on a corrupt row.
+/// schema record exists under `name`, storage::CorruptionError (a
+/// std::runtime_error) on a damaged schema or row record.
 Table load_table(const storage::LsmStore& store, const std::string& name);
 
 /// Source that scans a stored table out of the LSM store with typed decode,

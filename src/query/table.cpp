@@ -1,13 +1,11 @@
 #include "query/table.hpp"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
-
-#include "accel/aggregate.hpp"
-#include "accel/hash_join.hpp"
 
 namespace rb::query {
 
@@ -154,33 +152,20 @@ Table apply_filter_string(Table t, const FilterStringStage& s) {
 Table apply_join(Table left, const JoinStage& s) {
   const auto& lkeys = left.ints(s.left_key);
   const auto& rkeys = s.right.ints(s.right_key);
-  // Row indices ride along as payloads through the hash-join block.
-  std::vector<accel::Row> lrows, rrows;
-  lrows.reserve(lkeys.size());
-  for (std::uint32_t i = 0; i < lkeys.size(); ++i) {
-    lrows.push_back(accel::Row{static_cast<std::uint64_t>(lkeys[i]), i});
+  // Right rows of each key, in row order. Probing with the left rows in
+  // order then yields the canonical left-major output directly.
+  std::unordered_map<std::int64_t, std::vector<std::uint32_t>> matches;
+  for (std::uint32_t r = 0; r < rkeys.size(); ++r) {
+    matches[rkeys[r]].push_back(r);
   }
-  rrows.reserve(rkeys.size());
-  for (std::uint32_t i = 0; i < rkeys.size(); ++i) {
-    rrows.push_back(accel::Row{static_cast<std::uint64_t>(rkeys[i]), i});
-  }
-  auto joined = accel::hash_join(lrows, rrows);
-  // The radix join emits partition-major; canonicalize to left-major order
-  // (left rows in order, matches in right-row order) so the output is
-  // independent of the physical join strategy — the vectorized engine's
-  // streaming probe produces this order natively.
-  std::sort(joined.begin(), joined.end(),
-            [](const accel::JoinedRow& a, const accel::JoinedRow& b) {
-              return a.left_payload != b.left_payload
-                         ? a.left_payload < b.left_payload
-                         : a.right_payload < b.right_payload;
-            });
   std::vector<std::uint32_t> lidx, ridx;
-  lidx.reserve(joined.size());
-  ridx.reserve(joined.size());
-  for (const auto& j : joined) {
-    lidx.push_back(static_cast<std::uint32_t>(j.left_payload));
-    ridx.push_back(static_cast<std::uint32_t>(j.right_payload));
+  for (std::uint32_t l = 0; l < lkeys.size(); ++l) {
+    const auto it = matches.find(lkeys[l]);
+    if (it == matches.end()) continue;
+    for (const auto r : it->second) {
+      lidx.push_back(l);
+      ridx.push_back(r);
+    }
   }
   Table out = left.gather(lidx);
   const Table rgathered = s.right.gather(ridx);
@@ -195,73 +180,68 @@ Table apply_join(Table left, const JoinStage& s) {
   return out;
 }
 
+/// One group's running aggregate. Sums wrap (two's complement); min and
+/// max compare signed values.
+struct Group {
+  std::int64_t value = 0;
+  bool seen = false;
+
+  void add(Aggregate agg, std::int64_t v) {
+    switch (agg) {
+      case Aggregate::kSum:
+        value = static_cast<std::int64_t>(static_cast<std::uint64_t>(value) +
+                                          static_cast<std::uint64_t>(v));
+        break;
+      case Aggregate::kCount:
+        ++value;
+        break;
+      case Aggregate::kMin:
+        value = seen ? std::min(value, v) : v;
+        break;
+      case Aggregate::kMax:
+        value = seen ? std::max(value, v) : v;
+        break;
+    }
+    seen = true;
+  }
+};
+
 Table apply_group_by(Table t, const GroupByStage& s) {
   const auto& values = t.ints(s.value);
-  const auto block_op = [&s] {
-    switch (s.agg) {
-      case Aggregate::kSum: return accel::AggOp::kSum;
-      case Aggregate::kCount: return accel::AggOp::kCount;
-      case Aggregate::kMin: return accel::AggOp::kMin;
-      case Aggregate::kMax: return accel::AggOp::kMax;
-    }
-    return accel::AggOp::kSum;
-  }();
-  // The aggregate block compares unsigned; min/max over signed values
-  // need the order-preserving sign-flip bias. Sum rides on two's-
-  // complement wraparound and count ignores the payload entirely.
-  const bool ordered = s.agg == Aggregate::kMin || s.agg == Aggregate::kMax;
-  constexpr std::uint64_t kBias = 0x8000'0000'0000'0000ULL;
-  const auto encode = [ordered](std::int64_t v) {
-    return static_cast<std::uint64_t>(v) ^ (ordered ? kBias : 0);
-  };
-  const auto decode = [ordered](std::uint64_t v) {
-    return static_cast<std::int64_t>(v ^ (ordered ? kBias : 0));
-  };
-
   Table out;
+  std::vector<std::int64_t> results;
   if (t.column_type(s.key) == ColumnType::kInt) {
+    // Int keys emit in unsigned key-code order: 0 .. INT64_MAX, then
+    // INT64_MIN .. -1.
     const auto& keys = t.ints(s.key);
-    std::vector<accel::Row> rows;
-    rows.reserve(keys.size());
+    std::map<std::uint64_t, Group> groups;
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      rows.push_back(accel::Row{static_cast<std::uint64_t>(keys[i]),
-                                encode(values[i])});
+      groups[static_cast<std::uint64_t>(keys[i])].add(s.agg, values[i]);
     }
-    const auto groups = accel::group_aggregate(rows, block_op);
-    std::vector<std::int64_t> out_keys, out_values;
-    for (const auto& g : groups) {
-      out_keys.push_back(static_cast<std::int64_t>(g.key));
-      out_values.push_back(s.agg == Aggregate::kCount
-                               ? static_cast<std::int64_t>(g.value)
-                               : decode(g.value));
+    std::vector<std::int64_t> out_keys;
+    for (const auto& [code, group] : groups) {
+      out_keys.push_back(static_cast<std::int64_t>(code));
+      results.push_back(group.value);
     }
     out.add_int_column(s.key, std::move(out_keys));
-    out.add_int_column(s.result, std::move(out_values));
   } else {
-    // String keys: dictionary-encode, aggregate on codes, decode.
+    // String keys emit in first-appearance order.
     const auto& keys = t.strings(s.key);
-    std::unordered_map<std::string, std::uint64_t> codes;
-    std::vector<std::string> dictionary;
-    std::vector<accel::Row> rows;
-    rows.reserve(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const auto [it, inserted] =
-          codes.try_emplace(keys[i], dictionary.size());
-      if (inserted) dictionary.push_back(keys[i]);
-      rows.push_back(accel::Row{it->second, encode(values[i])});
-    }
-    const auto groups = accel::group_aggregate(rows, block_op);
+    std::unordered_map<std::string, std::size_t> slots;
     std::vector<std::string> out_keys;
-    std::vector<std::int64_t> out_values;
-    for (const auto& g : groups) {
-      out_keys.push_back(dictionary.at(static_cast<std::size_t>(g.key)));
-      out_values.push_back(s.agg == Aggregate::kCount
-                               ? static_cast<std::int64_t>(g.value)
-                               : decode(g.value));
+    std::vector<Group> groups;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const auto [it, inserted] = slots.try_emplace(keys[i], groups.size());
+      if (inserted) {
+        out_keys.push_back(keys[i]);
+        groups.emplace_back();
+      }
+      groups[it->second].add(s.agg, values[i]);
     }
+    for (const auto& group : groups) results.push_back(group.value);
     out.add_string_column(s.key, std::move(out_keys));
-    out.add_int_column(s.result, std::move(out_values));
   }
+  out.add_int_column(s.result, std::move(results));
   return out;
 }
 

@@ -1,12 +1,12 @@
 #pragma once
-// Columnar table + relational query layer over the dataflow framework.
+// Columnar table + relational query layer.
 //
 // Sec IV.C.1 of the paper traces the shift from query languages (SQL on
 // clean relational data) to distributed frameworks. This module closes the
-// loop the way modern engines do: a small relational algebra whose physical
-// operators are the library's accelerated building blocks (hash join, group
-// aggregation) running on the multithreaded dataflow substrate — the
-// "accelerated building blocks inside a framework" picture of Rec 10.
+// loop the way modern engines do: a small relational algebra whose one
+// physical implementation is the vectorized engine in query/exec (one tuned
+// join, one tuned aggregate: the "building blocks inside a framework"
+// picture of Rec 10).
 //
 // Tables are columnar: named, typed (int64 or string) columns of equal
 // length. Queries are built fluently and executed with run():
@@ -20,11 +20,13 @@
 //       .run();
 //
 // run() is the row-at-a-time reference interpreter: every stage fully
-// materializes its output table. The same fluent chain also compiles onto
-// the vectorized push-based engine in query/exec (run_vectorized(), or
-// exec::compile() for explicit plans); both paths produce byte-identical
-// results. Stages are stored as introspectable descriptors (the Stage
-// variant below) so the compiler can walk them.
+// materializes its output table, using plain std containers and none of
+// the engine's code, so it is an independent differential oracle. The
+// same fluent chain compiles onto the vectorized push-based engine in
+// query/exec (run_vectorized(), or exec::compile() for explicit plans);
+// both paths produce byte-identical results. Stages are stored as
+// introspectable descriptors (the Stage variant below) so the compiler can
+// walk them.
 
 #include <cstdint>
 #include <functional>
@@ -112,6 +114,9 @@ struct JoinStage {
   std::string left_key;
   std::string right_key;
 };
+/// Grouped SUM / COUNT / MIN / MAX. Int keys emit in unsigned key-code
+/// order (0 .. INT64_MAX, then INT64_MIN .. -1); string keys emit in
+/// first-appearance order.
 struct GroupByStage {
   std::string key;
   Aggregate agg = Aggregate::kSum;

@@ -96,7 +96,7 @@ RelationalTables order_tables(std::size_t orders, double lineitems_per_order,
   for (std::size_t i = 0; i < orders; ++i) {
     // Order ids start at 1 (0 is a valid but boring key for hash tables).
     tables.orders.push_back(
-        accel::Row{static_cast<std::uint64_t>(i + 1),
+        Row{static_cast<std::uint64_t>(i + 1),
                    rng.uniform_index(orders / 10 + 1)});
   }
   const auto n_items =
@@ -107,7 +107,7 @@ RelationalTables order_tables(std::size_t orders, double lineitems_per_order,
   for (std::size_t i = 0; i < n_items; ++i) {
     const std::uint64_t order_id = order_pick(rng) + 1;
     tables.lineitems.push_back(
-        accel::Row{order_id, 100 + rng.uniform_index(99'900)});
+        Row{order_id, 100 + rng.uniform_index(99'900)});
   }
   return tables;
 }

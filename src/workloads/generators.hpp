@@ -13,8 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "accel/hash_join.hpp"  // Row
-#include "accel/ml.hpp"         // Matrix
+#include "accel/ml.hpp"  // Matrix
 #include "sim/random.hpp"
 
 namespace rb::workloads {
@@ -52,13 +51,18 @@ std::vector<SensorReading> sensor_stream(std::size_t count,
 
 /// --- Relational (financial / retail) ---
 
+struct Row {
+  std::uint64_t key = 0;
+  std::uint64_t payload = 0;
+};
+
 /// Build (orders, lineitems) Row tables: orders keyed by order id with
 /// customer payload; lineitems foreign-keyed to a Zipf-skewed subset of
-/// orders (skew exercises the radix join). lineitems.size() ==
-/// orders.size() * lineitems_per_order on average.
+/// orders (skew concentrates lineitems on a few hot orders).
+/// lineitems.size() == orders.size() * lineitems_per_order on average.
 struct RelationalTables {
-  std::vector<accel::Row> orders;     // key = order id, payload = customer
-  std::vector<accel::Row> lineitems;  // key = order id, payload = amount
+  std::vector<Row> orders;     // key = order id, payload = customer
+  std::vector<Row> lineitems;  // key = order id, payload = amount
 };
 RelationalTables order_tables(std::size_t orders, double lineitems_per_order,
                               double key_skew, std::uint64_t seed);

@@ -3,14 +3,13 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "accel/aggregate.hpp"
 #include "accel/compression.hpp"
 #include "accel/graph.hpp"
-#include "accel/hash_join.hpp"
 #include "accel/ml.hpp"
 #include "accel/sort.hpp"
 #include "accel/text.hpp"
 #include "node/energy.hpp"
+#include "query/table.hpp"
 #include "workloads/generators.hpp"
 
 namespace rb::workloads {
@@ -40,6 +39,15 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+std::vector<std::int64_t> order_ids(const std::vector<Row>& rows) {
+  std::vector<std::int64_t> ids;
+  ids.reserve(rows.size());
+  for (const auto& row : rows) {
+    ids.push_back(static_cast<std::int64_t>(row.key));
+  }
+  return ids;
+}
+
 }  // namespace
 
 std::vector<MeasuredResult> run_measured_suite(double scale,
@@ -56,16 +64,19 @@ std::vector<MeasuredResult> run_measured_suite(double scale,
     if (entry.workload == "wordcount") {
       const auto doc = zipf_document(entry.rows, 50'000, 1.05, seed);
       const auto tokens = accel::tokenize(doc);
-      // Count via the aggregate block on hashed tokens.
-      std::vector<accel::Row> rows;
-      rows.reserve(tokens.size());
+      // Count via the query engine's aggregate on hashed tokens.
+      std::vector<std::int64_t> words;
+      words.reserve(tokens.size());
       for (const auto& t : tokens) {
-        rows.push_back(
-            accel::Row{std::hash<std::string_view>{}(t) | 1u, 1});
+        words.push_back(static_cast<std::int64_t>(
+            std::hash<std::string_view>{}(t) | 1u));
       }
-      const auto counts =
-          accel::group_aggregate(rows, accel::AggOp::kCount);
-      r.checksum = counts.size();
+      query::Table table;
+      table.add_int_column("word", std::move(words));
+      r.checksum = query::Query(std::move(table))
+                       .group_by("word", query::Aggregate::kCount, "word", "n")
+                       .run_vectorized()
+                       .row_count();
     } else if (entry.workload == "log-scan") {
       const auto lines = web_log(entry.rows, seed);
       const accel::PatternMatcher matcher{incident_patterns()};
@@ -74,7 +85,14 @@ std::vector<MeasuredResult> run_measured_suite(double scale,
       r.checksum = hits;
     } else if (entry.workload == "join") {
       const auto tables = order_tables(entry.rows / 4, 4.0, 0.5, seed);
-      r.checksum = accel::hash_join_count(tables.orders, tables.lineitems);
+      // lineitems probe a build table over the orders.
+      query::Table orders, lineitems;
+      orders.add_int_column("order_id", order_ids(tables.orders));
+      lineitems.add_int_column("order_id", order_ids(tables.lineitems));
+      r.checksum = query::Query(std::move(lineitems))
+                       .join(std::move(orders), "order_id", "order_id")
+                       .run_vectorized()
+                       .row_count();
     } else if (entry.workload == "sort") {
       sim::Rng rng{seed};
       std::vector<std::uint64_t> keys(entry.rows);

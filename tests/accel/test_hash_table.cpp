@@ -43,12 +43,45 @@ TEST(HashTable, KeyZeroWorks) {
 }
 
 TEST(HashTable, ZeroSentinelKeyAlsoWorks) {
+  // The internal sentinel value used to remap key 0 is itself a usable
+  // key, with an entry of its own: it must not collide with key 0.
+  constexpr std::uint64_t kSentinel = 0x8000'0000'0000'0000ULL;
   HashTable64 t;
-  // The internal sentinel value used to remap key 0 must itself be usable...
-  t.upsert(0x8000'0000'0000'0000ULL, 5, kSum);
+  t.upsert(kSentinel, 5, kSum);
   t.upsert(0, 7, kSum);
-  // ... although it collides with key 0 by design; verify totals survive.
-  EXPECT_GE(t.size(), 1u);
+  t.upsert(kSentinel, 1, kSum);
+  EXPECT_EQ(t.size(), 2u);
+  ASSERT_NE(t.find(kSentinel), nullptr);
+  EXPECT_EQ(*t.find(kSentinel), 6u);
+  ASSERT_NE(t.find(0), nullptr);
+  EXPECT_EQ(*t.find(0), 7u);
+
+  std::map<std::uint64_t, std::uint64_t> seen;
+  t.for_each([&seen](std::uint64_t k, std::uint64_t v) { seen[k] = v; });
+  EXPECT_EQ(seen, (std::map<std::uint64_t, std::uint64_t>{{0, 7},
+                                                          {kSentinel, 6}}));
+
+  // The batched probe agrees with find(), whichever of the two is stored.
+  const std::uint64_t keys[] = {kSentinel, 0, 3, kSentinel};
+  std::uint64_t values[4];
+  std::uint8_t found[4];
+  t.find_batch(keys, 4, values, found);
+  EXPECT_EQ(values[0], 6u);
+  EXPECT_EQ(values[1], 7u);
+  EXPECT_EQ(found[2], 0u);
+  EXPECT_EQ(values[3], 6u);
+  HashTable64 only_zero;
+  only_zero.upsert(0, 9, kSum);
+  EXPECT_EQ(only_zero.find(kSentinel), nullptr);
+  only_zero.find_batch(keys, 4, values, found);
+  EXPECT_EQ(found[0], 0u);
+  EXPECT_EQ(values[1], 9u);
+  HashTable64 only_sentinel;
+  only_sentinel.upsert(kSentinel, 4, kSum);
+  EXPECT_EQ(only_sentinel.find(0), nullptr);
+  only_sentinel.find_batch(keys, 4, values, found);
+  EXPECT_EQ(values[0], 4u);
+  EXPECT_EQ(found[1], 0u);
 }
 
 TEST(HashTable, GrowthPreservesEntries) {

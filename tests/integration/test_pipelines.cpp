@@ -1,16 +1,16 @@
 // End-to-end pipelines across module boundaries: generators -> dataflow
-// framework -> accelerated building blocks, the full "analytics stack" the
-// roadmap's software-support section describes.
+// framework -> accelerated building blocks and the vectorized query engine,
+// the full "analytics stack" the roadmap's software-support section
+// describes.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 
-#include "accel/aggregate.hpp"
-#include "accel/hash_join.hpp"
 #include "accel/text.hpp"
 #include "dataflow/dataset.hpp"
+#include "query/table.hpp"
 #include "workloads/generators.hpp"
 
 namespace rb {
@@ -32,33 +32,51 @@ TEST(Pipelines, WordCountViaDataflowMatchesAggregateBlock) {
   const auto counted = dataflow::reduce_by_key(
       keyed, [](std::uint64_t a, std::uint64_t b) { return a + b; });
 
-  // Path B: the accelerated building block on hashed words.
-  std::vector<accel::Row> rows;
-  rows.reserve(words.size());
+  // Path B: the query engine's aggregate on hashed words.
+  std::vector<std::int64_t> hashes;
+  hashes.reserve(words.size());
   for (const auto& w : words) {
-    rows.push_back(accel::Row{std::hash<std::string>{}(w) | 1u, 1});
+    hashes.push_back(
+        static_cast<std::int64_t>(std::hash<std::string>{}(w) | 1u));
   }
-  const auto agg = accel::group_aggregate(rows, accel::AggOp::kCount);
+  query::Table table;
+  table.add_int_column("word", std::move(hashes));
+  const auto agg = query::Query(std::move(table))
+                       .group_by("word", query::Aggregate::kCount, "word", "n")
+                       .run_vectorized();
 
   // Same number of distinct words (hash collisions would show up here).
-  EXPECT_EQ(counted.size(), agg.size());
+  EXPECT_EQ(counted.size(), agg.row_count());
 
   // And the top word's count agrees.
   std::uint64_t max_dataflow = 0;
   for (const auto& [w, c] : counted.collect()) {
     max_dataflow = std::max(max_dataflow, c);
   }
-  std::uint64_t max_block = 0;
-  for (const auto& g : agg) max_block = std::max(max_block, g.value);
-  EXPECT_EQ(max_dataflow, max_block);
+  std::int64_t max_engine = 0;
+  for (const auto n : agg.ints("n")) max_engine = std::max(max_engine, n);
+  EXPECT_EQ(max_dataflow, static_cast<std::uint64_t>(max_engine));
 }
 
 TEST(Pipelines, RelationalJoinViaDataflowMatchesBlock) {
   const auto tables = workloads::order_tables(2000, 3.0, 0.8, 7);
 
-  // Block path.
-  const auto block_count =
-      accel::hash_join_count(tables.orders, tables.lineitems);
+  // Query engine path.
+  const auto int_keys = [](const std::vector<workloads::Row>& rows) {
+    std::vector<std::int64_t> keys;
+    for (const auto& r : rows) {
+      keys.push_back(static_cast<std::int64_t>(r.key));
+    }
+    return keys;
+  };
+  query::Table orders_table, items_table;
+  orders_table.add_int_column("order_id", int_keys(tables.orders));
+  items_table.add_int_column("order_id", int_keys(tables.lineitems));
+  const auto engine_count =
+      query::Query(std::move(orders_table))
+          .join(std::move(items_table), "order_id", "order_id")
+          .run_vectorized()
+          .row_count();
 
   // Dataflow path.
   dataflow::Context ctx{4};
@@ -72,7 +90,7 @@ TEST(Pipelines, RelationalJoinViaDataflowMatchesBlock) {
       dataflow::Dataset<std::pair<std::uint64_t, std::uint64_t>>::from_vector(
           ctx, items);
   const auto joined = dataflow::join(ods, ids);
-  EXPECT_EQ(joined.size(), block_count);
+  EXPECT_EQ(joined.size(), engine_count);
 }
 
 TEST(Pipelines, LogScanThroughDataflow) {

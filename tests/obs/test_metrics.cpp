@@ -200,21 +200,5 @@ TEST(EnabledFlag, DefaultsOffAndToggles) {
   set_enabled(before);
 }
 
-TEST(NoopTypes, AcceptTheSameCallsAsRealOnes) {
-  // The concept static_asserts in metrics.hpp enforce interface parity at
-  // compile time; this exercises the calls so the symbols are used.
-  NoopCounter c;
-  c.add();
-  c.add(5);
-  EXPECT_EQ(c.value(), 0u);
-  NoopGauge g;
-  g.set(1.0);
-  g.add(2.0);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  NoopHistogram h;
-  h.observe(3.0);
-  EXPECT_EQ(h.count(), 0u);
-}
-
 }  // namespace
 }  // namespace rb::obs

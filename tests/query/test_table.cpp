@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "sim/random.hpp"
+
 namespace rb::query {
 namespace {
 
@@ -285,6 +294,300 @@ TEST(Query, FullAnalyticsPipeline) {
   EXPECT_EQ(result.ints("revenue")[0], 500);
   EXPECT_EQ(result.strings("customer")[1], "acme");  // 100+50+300
   EXPECT_EQ(result.ints("revenue")[1], 450);
+}
+
+/// --- Join and group-by contracts, pinned on both paths -----------------
+//
+// Each case states the expected table and checks that the reference
+// interpreter (run) and the vectorized engine (run_vectorized) both
+// produce it, column for column.
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+using IntColumns =
+    std::vector<std::pair<std::string, std::vector<std::int64_t>>>;
+
+Table int_table(IntColumns columns) {
+  Table t;
+  for (auto& [name, values] : columns) {
+    t.add_int_column(name, std::move(values));
+  }
+  return t;
+}
+
+void expect_same_table(const Table& actual, const Table& expected) {
+  ASSERT_EQ(actual.column_names(), expected.column_names());
+  ASSERT_EQ(actual.row_count(), expected.row_count());
+  for (const auto& name : expected.column_names()) {
+    ASSERT_EQ(actual.column_type(name), expected.column_type(name)) << name;
+    if (expected.column_type(name) == ColumnType::kInt) {
+      EXPECT_EQ(actual.ints(name), expected.ints(name)) << name;
+    } else {
+      EXPECT_EQ(actual.strings(name), expected.strings(name)) << name;
+    }
+  }
+}
+
+void expect_both_paths(const Query& q, const Table& expected) {
+  {
+    SCOPED_TRACE("run()");
+    expect_same_table(q.run(), expected);
+  }
+  {
+    SCOPED_TRACE("run_vectorized()");
+    expect_same_table(q.run_vectorized(), expected);
+  }
+}
+
+/// Inner join of {k, lv} with {k, rv} by nested loops: left-major order.
+Table nested_loop_join(const std::vector<std::int64_t>& lkeys,
+                       const std::vector<std::int64_t>& rkeys) {
+  std::vector<std::int64_t> k, lv, k_r, rv;
+  for (std::size_t l = 0; l < lkeys.size(); ++l) {
+    for (std::size_t r = 0; r < rkeys.size(); ++r) {
+      if (lkeys[l] != rkeys[r]) continue;
+      k.push_back(lkeys[l]);
+      lv.push_back(static_cast<std::int64_t>(l));
+      k_r.push_back(rkeys[r]);
+      rv.push_back(static_cast<std::int64_t>(r));
+    }
+  }
+  return int_table({{"k", k}, {"lv", lv}, {"k_r", k_r}, {"rv", rv}});
+}
+
+/// {k, lv} / {k, rv} tables whose payload is the row index.
+Query join_by_index(const std::vector<std::int64_t>& lkeys,
+                    const std::vector<std::int64_t>& rkeys) {
+  std::vector<std::int64_t> lv(lkeys.size()), rv(rkeys.size());
+  for (std::size_t i = 0; i < lv.size(); ++i) {
+    lv[i] = static_cast<std::int64_t>(i);
+  }
+  for (std::size_t i = 0; i < rv.size(); ++i) {
+    rv[i] = static_cast<std::int64_t>(i);
+  }
+  Query q{int_table({{"k", lkeys}, {"lv", lv}})};
+  q.join(int_table({{"k", rkeys}, {"rv", rv}}), "k", "k");
+  return q;
+}
+
+TEST(HashJoin, EmptyInputs) {
+  const std::vector<std::int64_t> none, one{1};
+  expect_both_paths(join_by_index(none, one), nested_loop_join(none, one));
+  expect_both_paths(join_by_index(one, none), nested_loop_join(one, none));
+  expect_both_paths(join_by_index(none, none), nested_loop_join(none, none));
+}
+
+TEST(HashJoin, SimpleMatch) {
+  Query q{int_table({{"k", {1, 2}}, {"lv", {10, 20}}})};
+  q.join(int_table({{"k", {2, 3}}, {"rv", {200, 300}}}), "k", "k");
+  expect_both_paths(
+      q, int_table({{"k", {2}}, {"lv", {20}}, {"k_r", {2}}, {"rv", {200}}}));
+}
+
+TEST(HashJoin, DuplicateKeysProduceCrossProduct) {
+  Query q{int_table({{"k", {5, 5}}, {"lv", {1, 2}}})};
+  q.join(int_table({{"k", {5, 5, 5}}, {"rv", {10, 20, 30}}}), "k", "k");
+  // Left-major: each left row, then its matches in right-row order.
+  expect_both_paths(q, int_table({{"k", {5, 5, 5, 5, 5, 5}},
+                                  {"lv", {1, 1, 1, 2, 2, 2}},
+                                  {"k_r", {5, 5, 5, 5, 5, 5}},
+                                  {"rv", {10, 20, 30, 10, 20, 30}}}));
+}
+
+TEST(HashJoin, KeyZeroJoins) {
+  Query q{int_table({{"k", {0}}, {"lv", {1}}})};
+  q.join(int_table({{"k", {0}}, {"rv", {2}}}), "k", "k");
+  expect_both_paths(
+      q, int_table({{"k", {0}}, {"lv", {1}}, {"k_r", {0}}, {"rv", {2}}}));
+}
+
+TEST(HashJoin, CountMatchesNestedLoopReference) {
+  sim::Rng rng{47};
+  std::vector<std::int64_t> lkeys, rkeys;
+  for (int i = 0; i < 800; ++i) {
+    lkeys.push_back(static_cast<std::int64_t>(rng.uniform_index(100)));
+    rkeys.push_back(static_cast<std::int64_t>(rng.uniform_index(100)));
+  }
+  expect_both_paths(join_by_index(lkeys, rkeys),
+                    nested_loop_join(lkeys, rkeys));
+}
+
+TEST(HashJoin, MaterializedMatchesCount) {
+  // Per key, the materialized join holds |left rows| x |right rows| rows.
+  sim::Rng rng{53};
+  std::vector<std::int64_t> lkeys, rkeys;
+  std::map<std::int64_t, std::int64_t> lcount, rcount;
+  for (int i = 0; i < 2000; ++i) {
+    lkeys.push_back(static_cast<std::int64_t>(rng.uniform_index(300)));
+    rkeys.push_back(static_cast<std::int64_t>(rng.uniform_index(300)));
+    ++lcount[lkeys.back()];
+    ++rcount[rkeys.back()];
+  }
+  std::vector<std::int64_t> keys, pairs;
+  for (const auto& [k, n] : lcount) {
+    const auto it = rcount.find(k);
+    if (it == rcount.end()) continue;
+    keys.push_back(k);
+    pairs.push_back(n * it->second);
+  }
+  Query q = join_by_index(lkeys, rkeys);
+  q.group_by("k", Aggregate::kCount, "rv", "pairs");
+  expect_both_paths(q, int_table({{"k", keys}, {"pairs", pairs}}));
+}
+
+TEST(HashJoin, SkewedKeysStillCorrect) {
+  // Zipf-skewed foreign keys against a unique-key build side: every right
+  // row matches exactly one left row.
+  sim::Rng rng{59};
+  const sim::ZipfDistribution zipf{200, 1.2};
+  std::vector<std::int64_t> lkeys, rkeys;
+  for (std::int64_t k = 0; k < 200; ++k) lkeys.push_back(k);
+  for (int i = 0; i < 10000; ++i) {
+    rkeys.push_back(static_cast<std::int64_t>(zipf(rng)));
+  }
+  const Table expected = nested_loop_join(lkeys, rkeys);
+  EXPECT_EQ(expected.row_count(), 10000u);
+  expect_both_paths(join_by_index(lkeys, rkeys), expected);
+  // The same keys with the skewed side probing.
+  expect_both_paths(join_by_index(rkeys, lkeys),
+                    nested_loop_join(rkeys, lkeys));
+}
+
+TEST(HashJoin, NegativeAndExtremeKeys) {
+  const std::vector<std::int64_t> lkeys{kMax, -1, 1, kMin, 7};
+  const std::vector<std::int64_t> rkeys{kMin, -1, kMax, -1, 3};
+  // Output stays left-major whatever the key's sign.
+  expect_both_paths(join_by_index(lkeys, rkeys),
+                    int_table({{"k", {kMax, -1, -1, kMin}},
+                               {"lv", {0, 1, 1, 3}},
+                               {"k_r", {kMax, -1, -1, kMin}},
+                               {"rv", {2, 1, 3, 0}}}));
+}
+
+TEST(HashJoin, KeyZeroAndInt64MinAreDistinct) {
+  // INT64_MIN's bit pattern is the hash table's stand-in for key 0.
+  expect_both_paths(join_by_index({0, kMin}, {kMin}),
+                    int_table({{"k", {kMin}},
+                               {"lv", {1}},
+                               {"k_r", {kMin}},
+                               {"rv", {0}}}));
+  expect_both_paths(join_by_index({kMin, 0}, {0}),
+                    int_table({{"k", {0}},
+                               {"lv", {1}},
+                               {"k_r", {0}},
+                               {"rv", {0}}}));
+}
+
+Query group(IntColumns columns, Aggregate agg) {
+  Query q{int_table(std::move(columns))};
+  q.group_by("k", agg, "v", "r");
+  return q;
+}
+
+TEST(Aggregate, EmptyInput) {
+  for (const auto agg : {Aggregate::kSum, Aggregate::kCount, Aggregate::kMin,
+                         Aggregate::kMax}) {
+    expect_both_paths(group({{"k", {}}, {"v", {}}}, agg),
+                      int_table({{"k", {}}, {"r", {}}}));
+  }
+}
+
+TEST(Aggregate, SumPerGroup) {
+  expect_both_paths(
+      group({{"k", {1, 2, 1, 2, 3}}, {"v", {10, 20, 5, 1, 7}}},
+            Aggregate::kSum),
+      int_table({{"k", {1, 2, 3}}, {"r", {15, 21, 7}}}));
+}
+
+TEST(Aggregate, CountIgnoresPayload) {
+  expect_both_paths(
+      group({{"k", {1, 1, 2}}, {"v", {999, 999, 999}}}, Aggregate::kCount),
+      int_table({{"k", {1, 2}}, {"r", {2, 1}}}));
+}
+
+TEST(Aggregate, MinAndMax) {
+  const IntColumns rows{{"k", {1, 1, 1}}, {"v", {10, 3, 99}}};
+  expect_both_paths(group(rows, Aggregate::kMin),
+                    int_table({{"k", {1}}, {"r", {3}}}));
+  expect_both_paths(group(rows, Aggregate::kMax),
+                    int_table({{"k", {1}}, {"r", {99}}}));
+}
+
+TEST(Aggregate, KeyZeroGrouped) {
+  expect_both_paths(group({{"k", {0, 0}}, {"v", {1, 2}}}, Aggregate::kSum),
+                    int_table({{"k", {0}}, {"r", {3}}}));
+}
+
+/// Random (k, v) rows with a std::map SUM reference, in key order.
+std::pair<IntColumns, Table> random_sums(std::uint64_t seed, int n,
+                                         std::uint64_t key_range) {
+  sim::Rng rng{seed};
+  std::vector<std::int64_t> ks, vs;
+  std::map<std::int64_t, std::int64_t> reference;
+  for (int i = 0; i < n; ++i) {
+    ks.push_back(static_cast<std::int64_t>(rng.uniform_index(key_range)));
+    vs.push_back(static_cast<std::int64_t>(rng.uniform_index(1000)));
+    reference[ks.back()] += vs.back();
+  }
+  std::vector<std::int64_t> keys, sums;
+  for (const auto& [k, sum] : reference) {
+    keys.push_back(k);
+    sums.push_back(sum);
+  }
+  return {IntColumns{{"k", ks}, {"v", vs}},
+          int_table({{"k", keys}, {"r", sums}})};
+}
+
+TEST(Aggregate, ResultsSortedByKey) {
+  const auto [rows, expected] = random_sums(7, 1000, 100);
+  const auto& keys = expected.ints("k");
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_LT(keys[i - 1], keys[i]);
+  }
+  expect_both_paths(group(rows, Aggregate::kSum), expected);
+}
+
+TEST(Aggregate, MatchesStdMapReference) {
+  const auto [rows, expected] = random_sums(11, 20000, 500);
+  expect_both_paths(group(rows, Aggregate::kSum), expected);
+}
+
+TEST(Aggregate, NegativeAndExtremeKeysEmitInKeyCodeOrder) {
+  // Unsigned key-code order: 0 .. INT64_MAX, then INT64_MIN .. -1.
+  const IntColumns rows{{"k", {-1, kMax, 1, kMin, -5, 5, -1, kMin, kMax}},
+                        {"v", {4, kMax, 2, -3, 6, -8, -9, kMin, 1}}};
+  const std::vector<std::int64_t> order{1, 5, kMax, kMin, -5, -1};
+  // Sums wrap: kMax + 1 is kMin, and kMin - 3 is kMax - 2.
+  expect_both_paths(
+      group(rows, Aggregate::kSum),
+      int_table({{"k", order}, {"r", {2, -8, kMin, kMax - 2, 6, -5}}}));
+  expect_both_paths(group(rows, Aggregate::kCount),
+                    int_table({{"k", order}, {"r", {1, 1, 2, 2, 1, 2}}}));
+  expect_both_paths(group(rows, Aggregate::kMin),
+                    int_table({{"k", order}, {"r", {2, -8, 1, kMin, 6, -9}}}));
+  expect_both_paths(group(rows, Aggregate::kMax),
+                    int_table({{"k", order}, {"r", {2, -8, kMax, -3, 6, 4}}}));
+}
+
+TEST(Aggregate, KeyZeroAndInt64MinAreDistinct) {
+  // INT64_MIN's bit pattern is the hash table's stand-in for key 0.
+  expect_both_paths(
+      group({{"k", {kMin, 0, kMin, 0, 0}}, {"v", {1, 2, 3, 4, 5}}},
+            Aggregate::kSum),
+      int_table({{"k", {0, kMin}}, {"r", {11, 4}}}));
+}
+
+TEST(Aggregate, StringKeysEmitInFirstAppearanceOrder) {
+  Table t;
+  t.add_string_column("k", {"zeta", "alpha", "zeta", "mid", "alpha"});
+  t.add_int_column("v", {1, 2, 3, 4, 5});
+  Query q{std::move(t)};
+  q.group_by("k", Aggregate::kSum, "v", "r");
+  Table expected;
+  expected.add_string_column("k", {"zeta", "alpha", "mid"});
+  expected.add_int_column("r", {4, 7, 4});
+  expect_both_paths(q, expected);
 }
 
 }  // namespace
