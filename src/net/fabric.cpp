@@ -39,7 +39,6 @@ struct NetMetrics {
   obs::Counter* failed;
   obs::Counter* cancelled;
   obs::Counter* rerouted;
-  obs::LatencyHistogram* fct_seconds;
 
   static NetMetrics& get() {
     auto& r = obs::Registry::global();
@@ -48,9 +47,7 @@ struct NetMetrics {
         &r.counter("net.flows_completed"),
         &r.counter("net.flows_failed"),
         &r.counter("net.flows_cancelled"),
-        &r.counter("net.flows_rerouted"),
-        &r.histogram("net.fct_seconds",
-                     obs::exponential_bounds(1e-6, 2.0, 40))};
+        &r.counter("net.flows_rerouted")};
     return m;
   }
 };
@@ -195,7 +192,6 @@ FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
       fct_.add(fct_s);
       if (obs::enabled()) {
         NetMetrics::get().completed->add();
-        NetMetrics::get().fct_seconds->observe(fct_s);
         obs::TraceRecorder::global().async_end(
             "net.flow", "flow", record.id, sim_->now(),
             {obs::trace_arg("outcome", "completed")});
@@ -583,7 +579,6 @@ void FlowSimulator::finish_flow(std::uint32_t idx) {
   fct_.add(fct_s);
   if (obs::enabled()) {
     NetMetrics::get().completed->add();
-    NetMetrics::get().fct_seconds->observe(fct_s);
     obs::TraceRecorder::global().async_end(
         "net.flow", "flow", id, sim_->now(),
         {obs::trace_arg("outcome", "completed")});

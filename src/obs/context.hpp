@@ -17,11 +17,10 @@
 // computed and the compact (latency, decomposition) pair is kept for every
 // request, but the full span tree is retained only when the request failed,
 // violated the latency threshold, or ranks among the slowest N seen so far
-// (a bounded slowest-first reservoir). Retained trees are exemplars: their
-// trace_ids can be linked into latency-histogram buckets
-// (LatencyHistogram::observe_exemplar) and their trees exported as Chrome
-// trace JSON (export_chrome), where every span carries span_id /
-// parent_span_id args a validator can check for referential integrity.
+// (a bounded slowest-first reservoir). Retained trees are exemplars: they
+// are read back slowest first (exemplars()) and exported as Chrome trace
+// JSON (export_chrome), where every span carries span_id / parent_span_id
+// args a validator can check for referential integrity.
 //
 // The critical-path analyzer decomposes end-to-end latency using the tree
 // structure: all retry backoffs are serial on the path; the *winning*

@@ -1,6 +1,7 @@
 #pragma once
-// Process-wide metrics registry: named counters, gauges and fixed-bucket
-// latency histograms, each optionally carrying a label set. Designed so the
+// Process-wide metrics registry: named counters and gauges, each optionally
+// carrying a label set. Latency distributions are not kept here: each owner
+// records them exactly in a sim::PercentileTracker. Designed so the
 // instrumented hot loops across the stack (event dispatch, max-min fair
 // filling, task scheduling, compaction) stay cheap:
 //
@@ -106,62 +107,6 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bucket latency histogram. Bucket upper bounds are set at creation
-/// (strictly increasing; an implicit +inf bucket is appended). Thread-safe:
-/// observe() touches one atomic bucket plus atomic count/sum.
-class LatencyHistogram {
- public:
-  explicit LatencyHistogram(std::vector<double> upper_bounds);
-
-  void observe(double v) noexcept;
-
-  /// observe(v) plus link an exemplar id (e.g. a causal trace_id) into the
-  /// bucket `v` lands in (last-write-wins). Lets an exporter answer "show
-  /// me a trace from the p999 bucket".
-  void observe_exemplar(double v, std::uint64_t exemplar_id) noexcept;
-
-  /// Exemplar id linked into bucket i (0 = none recorded).
-  std::uint64_t exemplar(std::size_t i) const;
-
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  double mean() const noexcept {
-    const auto n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-  }
-
-  /// Number of buckets including the +inf overflow bucket.
-  std::size_t bucket_count() const noexcept { return bounds_.size() + 1; }
-  /// Upper bound of bucket i (+inf for the last); cumulative-style counts.
-  double bucket_bound(std::size_t i) const;
-  std::uint64_t bucket(std::size_t i) const;
-
-  /// Percentile estimate in [0,100] by linear interpolation inside the
-  /// bucket containing the rank; 0 when empty.
-  double percentile(double p) const;
-
-  /// Zero counts/sum/exemplars in place, keeping the bucket layout.
-  void reset() noexcept;
-
-  const std::vector<double>& bounds() const noexcept { return bounds_; }
-
- private:
-  std::size_t bucket_index(double v) const noexcept;
-
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> exemplars_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// Exponential bucket bounds: `n` bounds starting at `start`, each `factor`
-/// larger — the standard shape for latency distributions.
-std::vector<double> exponential_bounds(double start, double factor,
-                                       std::size_t n);
-
 /// --- Registry ---------------------------------------------------------------
 
 /// Sorted (key, value) label pairs identifying one time series of a metric.
@@ -169,14 +114,11 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Flat view of one metric instance, used by exporters and tests.
 struct MetricSample {
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kGauge };
   std::string name;
   Labels labels;
   Kind kind = Kind::kCounter;
-  double value = 0.0;           // counter value or gauge level
-  std::uint64_t count = 0;      // histogram observation count
-  double sum = 0.0;             // histogram sum
-  double p50 = 0.0, p90 = 0.0, p99 = 0.0;  // histogram estimates
+  double value = 0.0;  // counter value or gauge level
 };
 
 class Registry {
@@ -191,10 +133,6 @@ class Registry {
   /// throws std::invalid_argument.
   Counter& counter(std::string_view name, Labels labels = {});
   Gauge& gauge(std::string_view name, Labels labels = {});
-  /// `upper_bounds` is used on first creation only (strictly increasing).
-  LatencyHistogram& histogram(std::string_view name,
-                              std::vector<double> upper_bounds,
-                              Labels labels = {});
 
   /// Stable-ordered flat snapshot (sorted by name, then labels).
   std::vector<MetricSample> snapshot() const;
@@ -218,13 +156,11 @@ class Registry {
     std::string name;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<LatencyHistogram> hist;
   };
 
   static std::string make_key(std::string_view name, const Labels& labels);
   Entry& find_or_create(std::string_view name, Labels labels,
-                        MetricSample::Kind kind,
-                        std::vector<double> bounds = {});
+                        MetricSample::Kind kind);
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;

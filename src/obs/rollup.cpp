@@ -18,7 +18,6 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) noexcept {
 const char* kind_name(WindowedSeries::Kind k) noexcept {
   switch (k) {
     case WindowedSeries::Kind::kCounter: return "counter";
-    case WindowedSeries::Kind::kGauge: return "gauge";
     case WindowedSeries::Kind::kValue: return "value";
   }
   return "value";
@@ -95,9 +94,6 @@ WindowedSeries& Rollup::find_or_create(std::string_view name,
 
 WindowedSeries& Rollup::counter(std::string_view name) {
   return find_or_create(name, WindowedSeries::Kind::kCounter);
-}
-WindowedSeries& Rollup::gauge(std::string_view name) {
-  return find_or_create(name, WindowedSeries::Kind::kGauge);
 }
 WindowedSeries& Rollup::value(std::string_view name) {
   return find_or_create(name, WindowedSeries::Kind::kValue);

@@ -52,7 +52,6 @@ class WindowedSeries {
  public:
   enum class Kind : std::uint8_t {
     kCounter,  // sum of deltas per window (events/window)
-    kGauge,    // last-write-wins level per window
     kValue,    // distribution per window (latencies): count/sum/min/max
   };
 
@@ -95,7 +94,6 @@ class Rollup {
   explicit Rollup(std::int64_t window);
 
   WindowedSeries& counter(std::string_view name);
-  WindowedSeries& gauge(std::string_view name);
   WindowedSeries& value(std::string_view name);
 
   std::int64_t window() const noexcept { return window_; }

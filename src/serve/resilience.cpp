@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 
@@ -179,6 +180,9 @@ void CircuitBreaker::on_failure(sim::SimTime now) {
 
 HedgeDelayTracker::HedgeDelayTracker(const HedgeParams& params)
     : params_{params} {
+  if (!(params_.quantile >= 0.0 && params_.quantile <= 100.0))
+    throw std::invalid_argument{
+        "HedgeDelayTracker: quantile must be in [0, 100]"};
   ring_.reserve(std::max<std::size_t>(params_.window, 1));
 }
 
@@ -200,7 +204,7 @@ sim::SimTime HedgeDelayTracker::delay() const {
   const std::size_t stride = std::max<std::size_t>(ring_.size() / 8, 1);
   if (cached_at_ == 0 || count_ - cached_at_ >= stride) {
     std::vector<double> scratch{ring_};
-    const double q = std::clamp(params_.quantile, 0.0, 100.0) / 100.0;
+    const double q = params_.quantile / 100.0;
     const auto rank = static_cast<std::size_t>(
         std::min<double>(std::floor(q * static_cast<double>(scratch.size())),
                          static_cast<double>(scratch.size() - 1)));

@@ -156,6 +156,8 @@ struct HedgeParams {
 /// lazily. Deterministic: no clocks, no sampling.
 class HedgeDelayTracker {
  public:
+  /// Throws std::invalid_argument when `params.quantile` is NaN or outside
+  /// [0, 100].
   explicit HedgeDelayTracker(const HedgeParams& params);
 
   /// Record one completed attempt's latency (seconds).

@@ -14,7 +14,6 @@ struct ServeMetrics {
   obs::Counter* rejected;
   obs::Counter* failed;
   obs::Counter* retries;
-  obs::LatencyHistogram* latency_ms;
 
   static ServeMetrics& get() {
     auto& r = obs::Registry::global();
@@ -23,9 +22,7 @@ struct ServeMetrics {
         &r.counter("serve.requests_completed"),
         &r.counter("serve.requests_rejected"),
         &r.counter("serve.requests_failed"),
-        &r.counter("serve.request_retries"),
-        &r.histogram("serve.request_latency_ms",
-                     obs::exponential_bounds(0.01, 2.0, 24))};
+        &r.counter("serve.request_retries")};
     return m;
   }
 };
@@ -81,24 +78,11 @@ void SloAccountant::on_completed(const Request& req, sim::SimTime now) {
   ++completed_;
   const double seconds = sim::to_seconds(now - req.issued);
   latency_.add(seconds);
-  // Close the causal trace first: whether the full tree was retained as a
-  // tail exemplar decides whether this latency observation carries the
-  // trace_id into its histogram bucket.
-  bool retained = false;
   auto& causal = obs::RequestTracer::global();
   if (causal.enabled() && req.trace.active()) {
-    retained =
-        causal.finish(req.trace.trace_id, now, obs::TraceOutcome::kCompleted);
+    causal.finish(req.trace.trace_id, now, obs::TraceOutcome::kCompleted);
   }
-  if (obs::enabled()) {
-    auto& m = ServeMetrics::get();
-    m.completed->add();
-    if (retained) {
-      m.latency_ms->observe_exemplar(seconds * 1e3, req.trace.trace_id);
-    } else {
-      m.latency_ms->observe(seconds * 1e3);
-    }
-  }
+  if (obs::enabled()) ServeMetrics::get().completed->add();
   if (rollup_ != nullptr) {
     if (completed_s_ == nullptr) {
       completed_s_ = &rollup_->counter("serve.completed");

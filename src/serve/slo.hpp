@@ -7,9 +7,8 @@
 // asserted by the integration tests (including chaos runs). Latency of
 // completed requests feeds an exact percentile tracker (p50/p99/p999 are
 // headline numbers, so no bucket approximation), and when rb_obs is enabled
-// everything mirrors into the global registry (serve.* counters, a latency
-// histogram) and each request gets an async trace span on the
-// "serve.request" track.
+// the outcome counts mirror into the global registry (serve.* counters) and
+// each request gets an async trace span on the "serve.request" track.
 
 #include <cstdint>
 

@@ -29,7 +29,7 @@ double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 double PercentileTracker::percentile(double p) const {
   if (samples_.empty())
     throw std::logic_error{"PercentileTracker::percentile: no samples"};
-  if (p < 0.0 || p > 100.0)
+  if (!(p >= 0.0 && p <= 100.0))  // also rejects NaN
     throw std::invalid_argument{"percentile: p must be in [0, 100]"};
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());

@@ -1,10 +1,9 @@
-// rb::obs metrics registry: counter/gauge/histogram semantics, thread-safe
+// rb::obs metrics registry: counter/gauge semantics, thread-safe
 // exact counting, label handling, in-place reset, and the JSON exporter
 // round-trip.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -48,56 +47,6 @@ TEST(Gauge, SetAddValue) {
   EXPECT_DOUBLE_EQ(g.value(), -1.0);
 }
 
-TEST(LatencyHistogram, BucketsCountAndPercentiles) {
-  LatencyHistogram h{{1.0, 10.0, 100.0}};
-  for (const double v : {0.5, 0.7, 5.0, 50.0, 500.0}) h.observe(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 556.2);
-  // 4 bounds -> 3 finite buckets + overflow.
-  EXPECT_EQ(h.bucket_count(), 4u);
-  EXPECT_EQ(h.bucket(0), 2u);  // <= 1
-  EXPECT_EQ(h.bucket(1), 1u);  // <= 10
-  EXPECT_EQ(h.bucket(2), 1u);  // <= 100
-  EXPECT_EQ(h.bucket(3), 1u);  // overflow
-  // p50 interpolates inside the (1,10] bucket; p99 lands past 100.
-  EXPECT_GT(h.percentile(50.0), 1.0);
-  EXPECT_LE(h.percentile(50.0), 10.0);
-  EXPECT_GT(h.percentile(99.0), 10.0);
-  EXPECT_THROW(h.percentile(101.0), std::invalid_argument);
-}
-
-TEST(LatencyHistogram, ExemplarLinksLandInTheRightBucket) {
-  LatencyHistogram h{{1.0, 10.0}};
-  h.observe_exemplar(0.5, 101);   // bucket 0: <= 1
-  h.observe_exemplar(5.0, 202);   // bucket 1: <= 10
-  h.observe_exemplar(500.0, 303); // overflow bucket
-  EXPECT_EQ(h.exemplar(0), 101u);
-  EXPECT_EQ(h.exemplar(1), 202u);
-  EXPECT_EQ(h.exemplar(2), 303u);
-  EXPECT_EQ(h.count(), 3u);  // observe_exemplar also counts the observation
-  h.observe_exemplar(0.7, 404);
-  EXPECT_EQ(h.exemplar(0), 404u);  // last write wins inside a bucket
-}
-
-TEST(LatencyHistogram, ResetZeroesCountsAndExemplarsInPlace) {
-  LatencyHistogram h{{1.0, 10.0}};
-  h.observe_exemplar(0.5, 42);
-  h.observe(5.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-  EXPECT_EQ(h.bucket(0), 0u);
-  EXPECT_EQ(h.exemplar(0), 0u);
-  EXPECT_EQ(h.bucket_count(), 3u);  // layout survives
-}
-
-TEST(LatencyHistogram, ExponentialBounds) {
-  const auto bounds = exponential_bounds(1.0, 2.0, 4);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1.0);
-  EXPECT_DOUBLE_EQ(bounds[3], 8.0);
-}
-
 TEST(Registry, SameNameSameLabelsSameInstance) {
   Registry r;
   Counter& a = r.counter("requests");
@@ -122,16 +71,14 @@ TEST(Registry, KindMismatchThrows) {
   Registry r;
   r.counter("x");
   EXPECT_THROW(r.gauge("x"), std::invalid_argument);
-  EXPECT_THROW(r.histogram("x", {1.0}), std::invalid_argument);
 }
 
 TEST(Registry, SnapshotCarriesKindAndLabels) {
   Registry r;
   r.counter("c", {{"k", "v"}}).add(3);
   r.gauge("g").set(1.5);
-  r.histogram("h", {1.0, 10.0}).observe(0.5);
   const auto samples = r.snapshot();
-  ASSERT_EQ(samples.size(), 3u);
+  ASSERT_EQ(samples.size(), 2u);
   bool saw_counter = false;
   for (const auto& s : samples) {
     if (s.name == "c") {
@@ -149,44 +96,39 @@ TEST(Registry, JsonExportParses) {
   Registry r;
   r.counter("flows \"quoted\"", {{"topo", "fat\ntree"}}).add(12);
   r.gauge("depth").set(3.25);
-  r.histogram("lat", exponential_bounds(1e-3, 10.0, 4)).observe(0.05);
   const JsonValue doc = json_parse(r.to_json());
   ASSERT_TRUE(doc.is_object());
   ASSERT_TRUE(doc.at("metrics").is_array());
-  EXPECT_EQ(doc.at("metrics").array.size(), 3u);
-  bool saw_hist = false;
+  EXPECT_EQ(doc.at("metrics").array.size(), 2u);
+  bool saw_gauge = false;
   for (const auto& m : doc.at("metrics").array) {
-    if (m.at("name").string == "lat") {
-      saw_hist = true;
-      EXPECT_EQ(m.at("kind").string, "histogram");
-      EXPECT_DOUBLE_EQ(m.at("count").number, 1.0);
+    if (m.at("name").string == "depth") {
+      saw_gauge = true;
+      EXPECT_EQ(m.at("kind").string, "gauge");
+      EXPECT_DOUBLE_EQ(m.at("value").number, 3.25);
     }
     if (m.at("name").string == "flows \"quoted\"") {
       EXPECT_EQ(m.at("labels").at("topo").string, "fat\ntree");
     }
   }
-  EXPECT_TRUE(saw_hist);
+  EXPECT_TRUE(saw_gauge);
 }
 
 TEST(Registry, ResetForTestZeroesInPlaceKeepingIdentity) {
   Registry r;
   Counter& c = r.counter("c");
   Gauge& g = r.gauge("g");
-  LatencyHistogram& h = r.histogram("h", {1.0, 10.0});
   c.add(5);
   g.set(2.0);
-  h.observe_exemplar(0.5, 42);
   r.reset_for_test();
   // References cached by instrumentation sites stay valid and keep pointing
   // at the same (now zeroed) metric objects.
   EXPECT_EQ(&r.counter("c"), &c);
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.exemplar(0), 0u);
   c.add(1);
   EXPECT_EQ(c.value(), 1u);
-  EXPECT_EQ(r.snapshot().size(), 3u);  // entries survive, values zeroed
+  EXPECT_EQ(r.snapshot().size(), 2u);  // entries survive, values zeroed
 }
 
 TEST(EnabledFlag, DefaultsOffAndToggles) {

@@ -80,7 +80,7 @@ TEST(WindowedSeries, RejectsNonPositiveWindow) {
 TEST(Rollup, NamesKindsAndLookup) {
   Rollup r{10};
   r.counter("served").record(0, 1.0);
-  r.gauge("depth").record(0, 4.0);
+  r.value("depth").record(0, 4.0);
   EXPECT_EQ(r.names().size(), 2u);
   ASSERT_NE(r.find("served"), nullptr);
   EXPECT_EQ(r.find("served")->kind(), WindowedSeries::Kind::kCounter);

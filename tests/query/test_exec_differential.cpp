@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
+#include <vector>
+
 #include "query/exec/lsm_table.hpp"
 #include "query/exec/plan.hpp"
 #include "query/table.hpp"
@@ -29,13 +33,35 @@ void expect_tables_equal(const Table& a, const Table& b,
   }
 }
 
-Table random_table(sim::Rng& rng, std::size_t rows) {
+using KeyPool = std::vector<std::int64_t>;
+
+/// Keys 0..11: the pool of the original seeds, dense enough that joins and
+/// group-bys hit repeated keys.
+KeyPool small_keys() {
+  KeyPool keys(12);
+  std::iota(keys.begin(), keys.end(), 0);
+  return keys;
+}
+
+/// 12 keys shared by both join sides: the values that stress key encoding,
+/// sign handling and hashing, plus random full-range values.
+KeyPool wide_keys(sim::Rng& rng) {
+  KeyPool keys{0, -1, INT64_MIN, INT64_MIN + 1, INT64_MAX};
+  while (keys.size() < 12) keys.push_back(static_cast<std::int64_t>(rng()));
+  return keys;
+}
+
+std::int64_t pick(sim::Rng& rng, const KeyPool& keys) {
+  return keys[rng.uniform_index(keys.size())];
+}
+
+Table random_table(sim::Rng& rng, std::size_t rows, const KeyPool& keys) {
   Table t;
   std::vector<std::int64_t> key, value, wide;
   std::vector<std::string> tag;
   const char* tags[] = {"red", "green", "blue", "cyan", "violet"};
   for (std::size_t i = 0; i < rows; ++i) {
-    key.push_back(static_cast<std::int64_t>(rng.uniform_index(12)));
+    key.push_back(pick(rng, keys));
     // Mix in negatives and large magnitudes to stress sum wraparound,
     // min/max bias encoding, and join key hashing.
     value.push_back(static_cast<std::int64_t>(rng.uniform_index(2001)) -
@@ -52,11 +78,11 @@ Table random_table(sim::Rng& rng, std::size_t rows) {
   return t;
 }
 
-Table random_right(sim::Rng& rng, std::size_t rows) {
+Table random_right(sim::Rng& rng, std::size_t rows, const KeyPool& keys) {
   Table t;
   std::vector<std::int64_t> key, weight;
   for (std::size_t i = 0; i < rows; ++i) {
-    key.push_back(static_cast<std::int64_t>(rng.uniform_index(12)));
+    key.push_back(pick(rng, keys));
     weight.push_back(static_cast<std::int64_t>(rng.uniform_index(50)));
   }
   t.add_int_column("key", std::move(key));
@@ -66,7 +92,7 @@ Table random_right(sim::Rng& rng, std::size_t rows) {
 
 /// Append 1–4 random stages to `q`, returning a column known to remain an
 /// int column of the final schema (for order_by).
-void random_stages(sim::Rng& rng, Query& q) {
+void random_stages(sim::Rng& rng, Query& q, const KeyPool& keys) {
   const std::size_t n_stages = 1 + rng.uniform_index(4);
   bool aggregated = false;
   bool joined = false;
@@ -87,7 +113,8 @@ void random_stages(sim::Rng& rng, Query& q) {
       }
       case 2:
         if (!joined) {
-          q.join(random_right(rng, 1 + rng.uniform_index(40)), "key", "key");
+          q.join(random_right(rng, 1 + rng.uniform_index(40), keys), "key",
+                 "key");
           joined = true;
         }
         break;
@@ -108,34 +135,48 @@ void random_stages(sim::Rng& rng, Query& q) {
   }
 }
 
+/// One random table and stage chain from `rng`, run by both paths.
+void expect_random_plan_matches(sim::Rng& rng, const KeyPool& keys,
+                                std::uint64_t seed) {
+  auto source = random_table(rng, 1 + rng.uniform_index(300), keys);
+  Query q{source};
+  random_stages(rng, q, keys);
+  Table reference;
+  try {
+    reference = q.run();
+  } catch (const std::invalid_argument&) {
+    // Chain referenced a column removed by an earlier stage; both paths
+    // must agree it is an error.
+    EXPECT_THROW(q.run_vectorized(), std::invalid_argument) << "seed " << seed;
+    return;
+  }
+  for (const std::size_t bs : {1u, 3u, 64u, 1024u}) {
+    expect_tables_equal(q.run_vectorized(bs), reference,
+                        "seed " + std::to_string(seed) + " batch " +
+                            std::to_string(bs));
+  }
+}
+
 TEST(Differential, RandomPlansByteIdenticalAcrossBatchSizes) {
+  const KeyPool keys = small_keys();
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     sim::Rng rng{seed};
-    auto source = random_table(rng, 1 + rng.uniform_index(300));
-    Query q{source};
-    random_stages(rng, q);
-    Table reference;
-    try {
-      reference = q.run();
-    } catch (const std::invalid_argument&) {
-      // Chain referenced a column removed by an earlier stage; both paths
-      // must agree it is an error.
-      EXPECT_THROW(q.run_vectorized(), std::invalid_argument)
-          << "seed " << seed;
-      continue;
-    }
-    for (const std::size_t bs : {1u, 3u, 64u, 1024u}) {
-      expect_tables_equal(q.run_vectorized(bs), reference,
-                          "seed " + std::to_string(seed) + " batch " +
-                              std::to_string(bs));
-    }
+    expect_random_plan_matches(rng, keys, seed);
+  }
+}
+
+TEST(Differential, FullRangeKeysByteIdenticalAcrossBatchSizes) {
+  for (std::uint64_t seed = 200; seed < 240; ++seed) {
+    sim::Rng rng{seed};
+    const KeyPool keys = wide_keys(rng);
+    expect_random_plan_matches(rng, keys, seed);
   }
 }
 
 TEST(Differential, LsmBackedScanByteIdentical) {
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
     sim::Rng rng{seed};
-    auto source = random_table(rng, 1 + rng.uniform_index(200));
+    auto source = random_table(rng, 1 + rng.uniform_index(200), small_keys());
     storage::LsmOptions lsm_opts;
     lsm_opts.memtable_bytes = 1 << 12;  // several flushes per table
     storage::LsmStore store{lsm_opts};

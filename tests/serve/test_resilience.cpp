@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -179,6 +180,17 @@ TEST(HedgeDelayTracker, TracksTheConfiguredQuantile) {
   const double delay_s = sim::to_seconds(t.delay());
   EXPECT_GT(delay_s, 0.085);
   EXPECT_LT(delay_s, 0.095);
+}
+
+TEST(HedgeDelayTracker, RejectsNanOrOutOfRangeQuantile) {
+  for (const double q : {std::nan(""), -1.0, 100.5}) {
+    HedgeParams p;
+    p.quantile = q;
+    EXPECT_THROW(HedgeDelayTracker{p}, std::invalid_argument);
+  }
+  HedgeParams edge;
+  edge.quantile = 100.0;
+  EXPECT_NO_THROW(HedgeDelayTracker{edge});
 }
 
 /// --- Deadline propagation at the replica --------------------------------

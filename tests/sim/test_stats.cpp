@@ -56,6 +56,7 @@ TEST(PercentileTracker, RejectsBadPercentile) {
   t.add(1.0);
   EXPECT_THROW(t.percentile(-1.0), std::invalid_argument);
   EXPECT_THROW(t.percentile(101.0), std::invalid_argument);
+  EXPECT_THROW(t.percentile(std::nan("")), std::invalid_argument);
 }
 
 TEST(PercentileTracker, KnownPercentiles) {
