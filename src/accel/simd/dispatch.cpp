@@ -10,8 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/metrics.hpp"
-
 namespace rb::accel::simd {
 
 namespace {
@@ -59,13 +57,6 @@ const Kernels* table_for(Isa isa) noexcept {
   return nullptr;
 }
 
-void publish_isa_gauge(Isa isa) noexcept {
-  if (!obs::enabled()) return;
-  obs::Registry::global()
-      .gauge("accel.simd_isa")
-      .set(static_cast<double>(static_cast<std::uint8_t>(isa)));
-}
-
 // The active table pointer. nullptr until the first kernels() /
 // active_isa() / set_isa() call resolves it.
 std::atomic<const Kernels*> g_active{nullptr};
@@ -94,7 +85,6 @@ const Kernels* resolve() noexcept {
   const Kernels* expected = nullptr;
   if (g_active.compare_exchange_strong(expected, table,
                                        std::memory_order_acq_rel)) {
-    publish_isa_gauge(table->isa);
     return table;
   }
   return expected;
@@ -148,7 +138,6 @@ Isa active_isa() noexcept { return kernels().isa; }
 bool set_isa(Isa isa) noexcept {
   if (!supported(isa)) return false;
   g_active.store(table_for(isa), std::memory_order_release);
-  publish_isa_gauge(isa);
   return true;
 }
 

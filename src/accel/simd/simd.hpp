@@ -102,8 +102,7 @@ const Kernels& scalar_kernels() noexcept;
 Isa active_isa() noexcept;
 
 /// Test hook: force the active table. Returns false (no change) when the
-/// requested level is unsupported on this CPU/build. Updates the
-/// accel.simd_isa gauge when observability is enabled.
+/// requested level is unsupported on this CPU/build.
 bool set_isa(Isa isa) noexcept;
 
 namespace detail {

@@ -24,21 +24,6 @@
 
 namespace rb::dataflow {
 
-namespace detail {
-
-inline obs::Counter& shuffled_rows_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("dataflow.rows_shuffled");
-  return c;
-}
-inline obs::Counter& shuffled_bytes_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("dataflow.bytes_shuffled");
-  return c;
-}
-
-}  // namespace detail
-
 /// Execution context shared by all datasets of one pipeline: the pool,
 /// the default partition count, and shuffle metrics.
 class Context {
@@ -52,15 +37,12 @@ class Context {
 
   void note_shuffled_rows(std::uint64_t rows) noexcept {
     shuffled_rows_ += rows;
-    if (obs::enabled()) detail::shuffled_rows_counter().add(rows);
   }
   std::uint64_t shuffled_rows() const noexcept { return shuffled_rows_; }
 
-  /// In-memory footprint of shuffled rows (rows * sizeof(pair)); feeds the
-  /// `dataflow.bytes_shuffled` counter when observability is on.
+  /// In-memory footprint of shuffled rows (rows * sizeof(pair)).
   void note_shuffled_bytes(std::uint64_t bytes) noexcept {
     shuffled_bytes_ += bytes;
-    if (obs::enabled()) detail::shuffled_bytes_counter().add(bytes);
   }
   std::uint64_t shuffled_bytes() const noexcept { return shuffled_bytes_; }
 

@@ -2,19 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
-
 namespace rb::dataflow {
-
-namespace {
-
-obs::Counter& pool_tasks_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("dataflow.pool_tasks_executed");
-  return c;
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -46,7 +34,6 @@ void ThreadPool::worker_loop() {
       queue_.pop();
     }
     task();
-    if (obs::enabled()) pool_tasks_counter().add();
   }
 }
 

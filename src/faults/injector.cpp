@@ -16,20 +16,6 @@ const obs::Logger& faults_log() {
   return logger;
 }
 
-struct FaultMetrics {
-  obs::Counter* applied;
-  obs::Counter* failures;
-  obs::Counter* repairs;
-
-  static FaultMetrics& get() {
-    auto& r = obs::Registry::global();
-    static FaultMetrics m{&r.counter("faults.events_applied"),
-                          &r.counter("faults.component_failures"),
-                          &r.counter("faults.component_repairs")};
-    return m;
-  }
-};
-
 const char* target_name(FaultTarget t) {
   switch (t) {
     case FaultTarget::kLink: return "link";
@@ -86,9 +72,6 @@ void FaultInjector::apply(const FaultEvent& event) {
   ++applied_;
   (event.up ? repairs_ : failures_)++;
   if (obs::enabled()) {
-    auto& m = FaultMetrics::get();
-    m.applied->add();
-    (event.up ? m.repairs : m.failures)->add();
     // An outage is an async span from the failure to the matching repair.
     auto& tr = obs::TraceRecorder::global();
     const std::vector<obs::TraceArg> args{

@@ -31,26 +31,6 @@ const obs::Logger& net_log() {
   return logger;
 }
 
-/// Fabric telemetry, resolved once per process; increments are guarded by
-/// obs::enabled() at every call site.
-struct NetMetrics {
-  obs::Counter* started;
-  obs::Counter* completed;
-  obs::Counter* failed;
-  obs::Counter* cancelled;
-  obs::Counter* rerouted;
-
-  static NetMetrics& get() {
-    auto& r = obs::Registry::global();
-    static NetMetrics m{
-        &r.counter("net.flows_started"),
-        &r.counter("net.flows_completed"),
-        &r.counter("net.flows_failed"),
-        &r.counter("net.flows_cancelled"),
-        &r.counter("net.flows_rerouted")};
-    return m;
-  }
-};
 }  // namespace
 
 FlowSimulator::FlowSimulator(sim::Simulator& sim, const Topology& topo,
@@ -154,7 +134,6 @@ FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
   build_path(id, src, dst, path_scratch_, latency);  // throws NoRouteError
   ++started_;
   if (obs::enabled()) {
-    NetMetrics::get().started->add();
     obs::TraceRecorder::global().async_begin(
         "net.flow", "flow", id, sim_->now(),
         {obs::trace_arg("src", static_cast<std::uint64_t>(src)),
@@ -191,7 +170,6 @@ FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
       const double fct_s = sim::to_seconds(record.finish - record.start);
       fct_.add(fct_s);
       if (obs::enabled()) {
-        NetMetrics::get().completed->add();
         obs::TraceRecorder::global().async_end(
             "net.flow", "flow", record.id, sim_->now(),
             {obs::trace_arg("outcome", "completed")});
@@ -242,7 +220,6 @@ bool FlowSimulator::cancel_flow(FlowId id) {
   release_slot(idx);
   ++cancelled_;
   if (obs::enabled()) {
-    NetMetrics::get().cancelled->add();
     obs::TraceRecorder::global().async_end(
         "net.flow", "flow", id, sim_->now(),
         {obs::trace_arg("outcome", "cancelled")});
@@ -289,7 +266,6 @@ void FlowSimulator::handle_topology_change() {
       mark_path_dirty(s.path);
       ++rerouted_;
       if (obs::enabled()) {
-        NetMetrics::get().rerouted->add();
         obs::TraceRecorder::global().instant(
             "net.flow", "reroute", sim_->now(),
             {obs::trace_arg("flow", id)});
@@ -430,8 +406,6 @@ void FlowSimulator::solve_subset(const std::vector<std::uint32_t>& subset) {
       ++dl.unfrozen;
     }
   }
-  if (obs::enabled()) gauge_links_ = active_links_;
-
   // Max-min fair: progressive filling over directed link capacities. Each
   // round finds the bottleneck share, then freezes exactly the flows on
   // links at that share — only their membership lists are touched, so a
@@ -471,8 +445,6 @@ void FlowSimulator::solve_subset(const std::vector<std::uint32_t>& subset) {
       }
     }
   }
-
-  if (obs::enabled()) update_link_gauges();
 }
 
 void FlowSimulator::solve_equal_share() {
@@ -488,27 +460,6 @@ void FlowSimulator::solve_equal_share() {
       rate = std::min(rate, cap / static_cast<double>(dl.flows.size()));
     }
     s.rate = rate;
-  }
-}
-
-void FlowSimulator::update_link_gauges() {
-  auto& registry = obs::Registry::global();
-  for (const std::uint32_t dlink : gauge_links_) {
-    auto it = link_util_gauges_.find(dlink);
-    if (it == link_util_gauges_.end()) {
-      const auto link_id = static_cast<LinkId>(dlink >> 1);
-      it = link_util_gauges_
-               .emplace(dlink,
-                        &registry.gauge(
-                            "net.link_utilization",
-                            {{"link", std::to_string(link_id)},
-                             {"dir", (dlink & 1) == 0 ? "fwd" : "rev"}}))
-               .first;
-    }
-    const DirLink& dl = dlinks_[dlink];
-    const double cap = topo_->link(static_cast<LinkId>(dlink >> 1)).rate;
-    const double allocated = std::max(0.0, cap - dl.remaining_cap);
-    it->second->set(cap > 0.0 ? allocated / cap : 0.0);
   }
 }
 
@@ -578,7 +529,6 @@ void FlowSimulator::finish_flow(std::uint32_t idx) {
   const double fct_s = sim::to_seconds(record.finish - record.start);
   fct_.add(fct_s);
   if (obs::enabled()) {
-    NetMetrics::get().completed->add();
     obs::TraceRecorder::global().async_end(
         "net.flow", "flow", id, sim_->now(),
         {obs::trace_arg("outcome", "completed")});
@@ -610,7 +560,6 @@ void FlowSimulator::fail_flow(std::uint32_t idx) {
   unlink_flow(idx);
   release_slot(idx);
   if (obs::enabled()) {
-    NetMetrics::get().failed->add();
     obs::TraceRecorder::global().async_end(
         "net.flow", "flow", id, sim_->now(),
         {obs::trace_arg("outcome", "failed")});

@@ -26,6 +26,11 @@
 // flow whose path crosses a dead component is rerouted onto a surviving
 // ECMP path if one exists; if the endpoints are disconnected the flow ends
 // with FlowOutcome::kFailed — it never hangs and never silently completes.
+//
+// Telemetry: the flow outcome counts (started/completed/failed/cancelled/
+// rerouted) and AllocatorStats below are the only copy of those numbers.
+// With obs::enabled(), each flow additionally becomes a "net.flow" async
+// trace span (reroutes are instants on the same track).
 
 #include <cstdint>
 #include <functional>
@@ -35,7 +40,6 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "obs/context.hpp"
-#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 
@@ -210,9 +214,6 @@ class FlowSimulator {
   bool try_solve_incremental();
   void solve_subset(const std::vector<std::uint32_t>& subset);
   void solve_equal_share();
-  /// Per-directed-link utilization gauges (allocated/capacity) for the links
-  /// touched by the last solve; only called when obs::enabled().
-  void update_link_gauges();
 
   void schedule_next_completion();
   void handle_completion_event();
@@ -244,7 +245,6 @@ class FlowSimulator {
   std::vector<std::uint32_t> active_links_;
   std::vector<std::uint32_t> subset_slots_;
   std::vector<std::uint32_t> bfs_stack_;
-  std::vector<std::uint32_t> gauge_links_;
   std::vector<PathHop> path_scratch_;
 
   FlowId next_id_ = 1;
@@ -257,9 +257,6 @@ class FlowSimulator {
   std::uint64_t rerouted_ = 0;
   AllocatorStats astats_;
   sim::PercentileTracker fct_;
-  /// Cached obs gauges keyed by directed link index; populated lazily and
-  /// only while obs::enabled(), so unobserved runs never touch the registry.
-  std::unordered_map<std::uint32_t, obs::Gauge*> link_util_gauges_;
 };
 
 /// Run an all-to-all shuffle of `bytes_per_pair` between every ordered pair

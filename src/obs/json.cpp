@@ -204,11 +204,15 @@ class Parser {
     }
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the containers enclosing this value.
+  JsonValue parse_value(std::size_t depth = 0) {
     skip_ws();
     if (pos_ >= text_.size()) fail("unexpected end of input");
     JsonValue v;
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == kJsonMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+    }
     if (c == '{') {
       ++pos_;
       v.kind = JsonValue::Kind::kObject;
@@ -219,7 +223,7 @@ class Parser {
         std::string k = parse_string();
         skip_ws();
         expect(':');
-        v.object.emplace(std::move(k), parse_value());
+        v.object.emplace(std::move(k), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') { ++pos_; continue; }
         expect('}');
@@ -232,7 +236,7 @@ class Parser {
       skip_ws();
       if (peek() == ']') { ++pos_; return v; }
       for (;;) {
-        v.array.push_back(parse_value());
+        v.array.push_back(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') { ++pos_; continue; }
         expect(']');

@@ -5,6 +5,7 @@
 // round-trip. Not a general-purpose JSON library — no comments, no
 // non-finite numbers (they are written as 0), UTF-8 passed through opaquely.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -71,8 +72,12 @@ struct JsonValue {
   }
 };
 
+/// Deepest container nesting json_parse accepts. The parser recurses once
+/// per level, so the limit keeps hostile input from exhausting the stack.
+inline constexpr std::size_t kJsonMaxDepth = 512;
+
 /// Parse a complete JSON document. Throws std::invalid_argument on any
-/// syntax error or trailing garbage.
+/// syntax error, trailing garbage, or nesting deeper than kJsonMaxDepth.
 JsonValue json_parse(std::string_view text);
 
 }  // namespace rb::obs

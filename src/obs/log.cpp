@@ -45,14 +45,6 @@ void log_line(LogLevel level, std::string_view component,
 }
 
 void Logger::log(LogLevel level, std::string_view msg) const {
-  if (!should_log(level)) return;
-  if (enabled()) {
-    Registry::global()
-        .counter("log_lines",
-                 {{"component", component_},
-                  {"level", std::string{log_level_name(level)}}})
-        .add();
-  }
   log_line(level, component_, msg);
 }
 

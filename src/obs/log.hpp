@@ -7,17 +7,14 @@
 // other threads log) and every emitted line is serialized under one mutex,
 // so concurrent dataflow workers can never interleave partial lines.
 //
-// Logs and metrics cannot drift apart: every line a `Logger` emits also
-// bumps the `log_lines` counter labeled {component, level} in the global
-// metrics registry (when obs::enabled()), so "how many WARN lines did net
-// print" is a queryable metric, not a grep.
+// Logging keeps no counters: a component that needs to count an event
+// counts it in its own stats, which is what benches and tests read.
 
 #include <atomic>
 #include <sstream>
 #include <string>
 #include <string_view>
-
-#include "obs/metrics.hpp"
+#include <utility>
 
 namespace rb::obs {
 
@@ -48,8 +45,7 @@ using LogSink = void (*)(std::string_view line);
 void set_log_sink_for_testing(LogSink sink) noexcept;
 
 /// A named component's log handle. Cheap to construct; typically one
-/// per subsystem (e.g. `Logger{"net"}`). Each emitted line bumps the
-/// corresponding `log_lines{component,level}` counter.
+/// per subsystem (e.g. `Logger{"net"}`).
 class Logger {
  public:
   explicit Logger(std::string component) : component_{std::move(component)} {}

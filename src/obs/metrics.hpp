@@ -1,9 +1,15 @@
 #pragma once
 // Process-wide metrics registry: named counters and gauges, each optionally
-// carrying a label set. Latency distributions are not kept here: each owner
-// records them exactly in a sim::PercentileTracker. Designed so the
-// instrumented hot loops across the stack (event dispatch, max-min fair
-// filling, task scheduling, compaction) stay cheap:
+// carrying a label set.
+//
+// The rule: a component's counts live in its own stats (LsmStats,
+// SloAccountant, ResilienceStats, the FlowSimulator accessors,
+// sched::RunResult, ExecStats), which benches and tests read directly. The
+// registry holds only metrics that something reads back from it, and no
+// copy of a component stat. Today that is `accel.simd_rows{kernel}` (rows
+// through each SIMD kernel, read by perfbench's lsm_analytics). Latency
+// distributions are not kept here either: each owner records them exactly
+// in a sim::PercentileTracker. A site that does publish stays cheap:
 //
 //  * Counters increment a sharded, cache-line-padded atomic — concurrent
 //    dataflow workers never contend on one line.
@@ -36,9 +42,9 @@ namespace detail {
 inline std::atomic<bool> g_enabled{false};
 }  // namespace detail
 
-/// True when metric/trace collection is on. Instrumentation sites guard with
-/// this; when false the registry is never touched (zero allocation, one
-/// relaxed load per site).
+/// True when metric/trace collection is on. Registry writes and the
+/// TraceRecorder spans guard with this; when false the registry is never
+/// touched (zero allocation, one relaxed load per site).
 inline bool enabled() noexcept {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }

@@ -20,38 +20,6 @@ obs::Counter* simd_rows_counter(const char* kernel) {
 
 }  // namespace
 
-/// --- Operator base -------------------------------------------------------
-
-void Operator::resolve_counters() {
-  auto& reg = obs::Registry::global();
-  const obs::Labels labels{{"op", name_}};
-  c_rows_in_ = &reg.counter("query.rows_in", labels);
-  c_rows_out_ = &reg.counter("query.rows_out", labels);
-  c_batches_ = &reg.counter("query.batches", labels);
-}
-
-void Operator::publish_in(std::uint64_t rows) {
-  if (c_rows_in_ == nullptr) resolve_counters();
-  c_rows_in_->add(rows);
-  c_batches_->add(1);
-}
-
-void Operator::publish_out(std::uint64_t rows) {
-  if (c_rows_out_ == nullptr) resolve_counters();
-  c_rows_out_->add(rows);
-}
-
-void Operator::count_build_rows(std::uint64_t n) {
-  stats_.build_rows += n;
-  if (obs::enabled()) {
-    if (c_build_ == nullptr) {
-      c_build_ = &obs::Registry::global().counter("query.build_rows",
-                                                  {{"op", name_}});
-    }
-    c_build_->add(n);
-  }
-}
-
 /// --- TableSource ---------------------------------------------------------
 
 TableSource::TableSource(const Table* table)
@@ -205,7 +173,7 @@ void HashJoin::open() {
       chain.last = row;
     }
   }
-  count_build_rows(n);
+  stats_.build_rows += n;
   out_batch_ = std::make_unique<ColumnBatch>(out_schema_, batch_capacity_);
   pairs_.reserve(batch_capacity_);
 }

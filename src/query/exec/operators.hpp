@@ -9,11 +9,10 @@
 // chain, so every operator flushes before its consumer is finalized.
 //
 // Instrumentation: every operator keeps plain local OperatorStats (always
-// on — a handful of adds per *batch*, not per row) and mirrors them into
-// rb_obs registry counters (query.rows_in / query.rows_out / query.batches
-// / query.build_rows, labeled by operator) strictly behind the
-// obs::enabled() guard — one relaxed atomic load per batch when disabled,
-// the same contract bench_obs_overhead enforces elsewhere in the stack.
+// on — a handful of adds per *batch*, not per row); they are the only copy
+// of its row counts, read through Plan's ExecStats. The one registry metric
+// is accel.simd_rows{kernel}, added per batch behind the obs::enabled()
+// guard by the operators that run a SIMD kernel.
 
 #include <chrono>
 #include <cstdint>
@@ -83,7 +82,6 @@ class Operator {
     const std::uint64_t in = batch.active_count();
     ++stats_.batches_in;
     stats_.rows_in += in;
-    if (obs::enabled()) publish_in(in);
     if (timed_) {
       const auto t0 = std::chrono::steady_clock::now();
       do_push(batch);
@@ -127,28 +125,17 @@ class Operator {
   void emit(ColumnBatch& batch) {
     const std::uint64_t n = batch.active_count();
     stats_.rows_out += n;
-    if (obs::enabled()) publish_out(n);
     if (out_ != nullptr && n > 0) out_->push(batch);
   }
-
-  void count_build_rows(std::uint64_t n);
 
   Operator* out_ = nullptr;
   SchemaPtr out_schema_;
   OperatorStats stats_;
 
  private:
-  void resolve_counters();
-  void publish_in(std::uint64_t rows);
-  void publish_out(std::uint64_t rows);
-
   const char* name_;
   bool timed_ = false;
   std::int64_t busy_ns_ = 0;
-  obs::Counter* c_rows_in_ = nullptr;
-  obs::Counter* c_rows_out_ = nullptr;
-  obs::Counter* c_batches_ = nullptr;
-  obs::Counter* c_build_ = nullptr;
 };
 
 /// Selection-vector filter on an int column; no data movement.

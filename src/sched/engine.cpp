@@ -20,24 +20,6 @@ const obs::Logger& sched_log() {
   return logger;
 }
 
-struct SchedMetrics {
-  obs::Counter* dispatched;
-  obs::Counter* retried;
-  obs::Counter* killed;
-  obs::Counter* completed;
-  obs::Counter* jobs_failed;
-
-  static SchedMetrics& get() {
-    auto& r = obs::Registry::global();
-    static SchedMetrics m{&r.counter("sched.tasks_dispatched"),
-                          &r.counter("sched.tasks_retried"),
-                          &r.counter("sched.tasks_killed"),
-                          &r.counter("sched.tasks_completed"),
-                          &r.counter("sched.jobs_failed")};
-    return m;
-  }
-};
-
 /// Deterministic pseudo-random input placement for a task.
 std::size_t place_input(std::size_t job, std::size_t stage, std::size_t index,
                         std::size_t machines) {
@@ -159,24 +141,9 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
   std::size_t cpu_slots = 0, accel_slots = 0;
   for (const auto& e : executors) (e.is_cpu_slot ? cpu_slots : accel_slots)++;
 
-  // --- Telemetry (all guarded by obs::enabled() at use sites) ---
+  // --- Trace spans (all guarded by obs::enabled() at use sites) ---
   const bool observed = obs::enabled();
   std::uint64_t next_span_id = 1;
-  std::vector<int> busy_per_machine(cluster.machines.size(), 0);
-  std::vector<obs::Gauge*> occupancy_gauges;
-  if (observed) {
-    occupancy_gauges.reserve(cluster.machines.size());
-    for (std::size_t m = 0; m < cluster.machines.size(); ++m) {
-      occupancy_gauges.push_back(&obs::Registry::global().gauge(
-          "sched.machine_busy_slots", {{"machine", std::to_string(m)}}));
-    }
-  }
-  const auto note_occupancy = [&](std::size_t machine, int delta) {
-    if (!observed) return;
-    busy_per_machine[machine] += delta;
-    occupancy_gauges[machine]->set(
-        static_cast<double>(busy_per_machine[machine]));
-  };
 
   // --- Cost model shared by the engine and the policy view ---
   const auto compute_time = [&](const ReadyTask& task,
@@ -250,7 +217,6 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
   const auto free_executor = [&](std::size_t exec_id, std::size_t j) {
     const auto& exec = executors[exec_id];
     executors[exec_id].busy = false;
-    note_occupancy(exec.machine, -1);
     --running_per_job[j];
     if (exec.is_cpu_slot) {
       --running_cpu_per_job[j];
@@ -286,7 +252,6 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
     result.jobs[j].failed = true;
     result.jobs[j].completion = sim.now();
     if (observed) {
-      SchedMetrics::get().jobs_failed->add();
       obs::TraceRecorder::global().async_end(
           "sched.job", js.graph.name(), j, sim.now(),
           {obs::trace_arg("outcome", "failed")});
@@ -331,7 +296,6 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
     free_executor(exec_id, j);
     ++result.tasks_run;
     if (observed) {
-      SchedMetrics::get().completed->add();
       obs::TraceRecorder::global().async_end(
           "sched.task", run.task.spec->name, run.span_id, sim.now(),
           {obs::trace_arg("outcome", "ok")});
@@ -400,7 +364,6 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
     free_executor(exec_id, run.task.job);
     ++result.tasks_killed_by_failure;
     if (observed) {
-      SchedMetrics::get().killed->add();
       obs::TraceRecorder::global().async_end(
           "sched.task", run.task.spec->name, run.span_id, sim.now(),
           {obs::trace_arg("outcome", "killed")});
@@ -440,10 +403,6 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
       }
       std::uint64_t span_id = 0;
       if (observed) {
-        (task.attempt == 1 ? SchedMetrics::get().dispatched
-                           : SchedMetrics::get().retried)
-            ->add();
-        note_occupancy(exec.machine, +1);
         span_id = next_span_id++;
         obs::TraceRecorder::global().async_begin(
             "sched.task", task.spec->name, span_id, sim.now(),
@@ -564,7 +523,6 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
       result.jobs[j].failed = true;
       result.jobs[j].completion = sim.now();
       if (observed) {
-        SchedMetrics::get().jobs_failed->add();
         obs::TraceRecorder::global().async_end(
             "sched.job", js.graph.name(), j, sim.now(),
             {obs::trace_arg("outcome", "starved")});

@@ -362,7 +362,6 @@ void FrontDoor::response_arrived(const Request& req, ReplicaId target,
   for (const Attempt& a : it->second.attempts) {
     if (a.target == target && a.hedge) {
       ++rstats_.hedges_won;
-      resilience_metrics::hedge_won();
     }
   }
   auto& tracer = obs::RequestTracer::global();
@@ -416,7 +415,6 @@ void FrontDoor::maybe_hedge(std::uint64_t id, int wave) {
   if (target == kInvalidReplica) return;  // nobody distinct to race
   p.hedged = true;
   ++rstats_.hedges_issued;
-  resilience_metrics::hedge_issued();
   auto& tracer = obs::RequestTracer::global();
   if (tracer.enabled() && p.req.trace.active() && !p.attempts.empty()) {
     // The wait from the wave's first dispatch until now is what hedging
@@ -441,7 +439,6 @@ void FrontDoor::wave_exhausted(std::uint64_t id) {
   if (p.expired) {
     // The deadline passed while queued; retrying cannot beat it.
     ++rstats_.deadline_drops;
-    resilience_metrics::deadline_drop();
     resolve_failed(id);
     return;
   }
@@ -474,14 +471,12 @@ void FrontDoor::retry_or_fail(std::uint64_t id) {
     // Deadline propagation, caller side: never launch a retry that cannot
     // land in time.
     ++rstats_.deadline_drops;
-    resilience_metrics::deadline_drop();
     resolve_failed(id);
     return;
   }
   if (!budget_.try_spend()) {
     // Retry storm guard: out of budget, fail fast instead of amplifying.
     ++rstats_.retries_budgeted;
-    resilience_metrics::retries_budgeted();
     resolve_failed(id);
     return;
   }

@@ -2,11 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "obs/context.hpp"
-#include "obs/metrics.hpp"
 
 namespace rb::serve {
 
@@ -20,11 +18,6 @@ node::KernelProfile scaled(const node::KernelProfile& per_request,
   batch.bytes *= k;
   if (batch.pcie_bytes > 0.0) batch.pcie_bytes *= k;
   return batch;
-}
-
-obs::Gauge* queue_gauge(ReplicaId id) {
-  return &obs::Registry::global().gauge(
-      "serve.queue_depth", {{"replica", std::to_string(id)}});
 }
 
 }  // namespace
@@ -68,8 +61,6 @@ bool ReplicaServer::try_enqueue(Request req) {
                           req.enqueued, static_cast<std::int64_t>(id_));
   }
   queue_.push_back(std::move(req));
-  if (obs::enabled())
-    queue_gauge(id_)->set(static_cast<double>(queue_depth()));
   maybe_start_batch();
   return true;
 }
@@ -160,8 +151,6 @@ void ReplicaServer::finish_batch(std::uint64_t generation) {
     ++served_;
     if (completion_) completion_(req, ReplicaOutcome::kServed);
   }
-  if (obs::enabled())
-    queue_gauge(id_)->set(static_cast<double>(queue_depth()));
   maybe_start_batch();
 }
 
@@ -195,7 +184,6 @@ void ReplicaServer::set_down() {
   }
   queue_.clear();
   killed_ += victims.size();
-  if (obs::enabled()) queue_gauge(id_)->set(0.0);
   for (const Request& req : victims) {
     if (completion_) completion_(req, ReplicaOutcome::kKilled);
   }

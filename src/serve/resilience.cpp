@@ -4,51 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-
 namespace rb::serve {
-
-namespace {
-
-struct ResilienceMetrics {
-  obs::Counter* retries_budgeted;
-  obs::Counter* breaker_open;
-  obs::Counter* hedges_issued;
-  obs::Counter* hedges_won;
-  obs::Counter* deadline_drops;
-
-  static ResilienceMetrics& get() {
-    auto& r = obs::Registry::global();
-    static ResilienceMetrics m{&r.counter("serve.retries_budgeted"),
-                               &r.counter("serve.breaker_open"),
-                               &r.counter("serve.hedges_issued"),
-                               &r.counter("serve.hedges_won"),
-                               &r.counter("serve.deadline_drops")};
-    return m;
-  }
-};
-
-}  // namespace
-
-namespace resilience_metrics {
-
-void retries_budgeted() {
-  if (obs::enabled()) ResilienceMetrics::get().retries_budgeted->add();
-}
-void deadline_drop() {
-  if (obs::enabled()) ResilienceMetrics::get().deadline_drops->add();
-}
-void breaker_open() {
-  if (obs::enabled()) ResilienceMetrics::get().breaker_open->add();
-}
-void hedge_issued() {
-  if (obs::enabled()) ResilienceMetrics::get().hedges_issued->add();
-}
-void hedge_won() {
-  if (obs::enabled()) ResilienceMetrics::get().hedges_won->add();
-}
-
-}  // namespace resilience_metrics
 
 /// --- RetryBudget --------------------------------------------------------
 
@@ -91,7 +47,6 @@ void CircuitBreaker::trip(sim::SimTime now) {
   probes_left_ = 0;
   probe_successes_ = 0;
   ++opens_;
-  resilience_metrics::breaker_open();
 }
 
 bool CircuitBreaker::allow(sim::SimTime now) {

@@ -193,9 +193,7 @@ struct ResilienceParams {
   HedgeParams hedge;
 };
 
-/// Front-door-side counters for everything above, mirrored into rb_obs as
-/// serve.retries_budgeted / serve.breaker_open / serve.hedges_issued /
-/// serve.hedges_won / serve.deadline_drops when telemetry is enabled.
+/// Front-door-side counters for everything above; these are the only copy.
 struct ResilienceStats {
   /// Retries denied by the budget (failed fast instead of retrying).
   std::uint64_t retries_budgeted = 0;
@@ -217,16 +215,5 @@ struct ResilienceStats {
   /// losers, timed-out zombies): pure wasted service capacity.
   std::uint64_t wasted_responses = 0;
 };
-
-/// Mirror one increment of each named stat into the global obs registry
-/// (no-op when obs is disabled). Implemented with cached counter handles,
-/// matching the other serve metrics.
-namespace resilience_metrics {
-void retries_budgeted();
-void deadline_drop();
-void breaker_open();
-void hedge_issued();
-void hedge_won();
-}  // namespace resilience_metrics
 
 }  // namespace rb::serve

@@ -1,31 +1,11 @@
 #include "serve/slo.hpp"
 
 #include "obs/context.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace rb::serve {
 
 namespace {
-
-struct ServeMetrics {
-  obs::Counter* issued;
-  obs::Counter* completed;
-  obs::Counter* rejected;
-  obs::Counter* failed;
-  obs::Counter* retries;
-
-  static ServeMetrics& get() {
-    auto& r = obs::Registry::global();
-    static ServeMetrics m{
-        &r.counter("serve.requests_issued"),
-        &r.counter("serve.requests_completed"),
-        &r.counter("serve.requests_rejected"),
-        &r.counter("serve.requests_failed"),
-        &r.counter("serve.request_retries")};
-    return m;
-  }
-};
 
 const char* op_name(OpKind op) noexcept {
   return op == OpKind::kGet ? "get" : "put";
@@ -62,7 +42,6 @@ void SloAccountant::attach_telemetry(obs::Rollup* rollup,
 
 void SloAccountant::on_issued(const Request& req) {
   ++issued_;
-  if (obs::enabled()) ServeMetrics::get().issued->add();
   if (rollup_ != nullptr) {
     if (issued_s_ == nullptr) issued_s_ = &rollup_->counter("serve.issued");
     issued_s_->record(req.issued, 1.0);
@@ -82,7 +61,6 @@ void SloAccountant::on_completed(const Request& req, sim::SimTime now) {
   if (causal.enabled() && req.trace.active()) {
     causal.finish(req.trace.trace_id, now, obs::TraceOutcome::kCompleted);
   }
-  if (obs::enabled()) ServeMetrics::get().completed->add();
   if (rollup_ != nullptr) {
     if (completed_s_ == nullptr) {
       completed_s_ = &rollup_->counter("serve.completed");
@@ -111,7 +89,6 @@ void SloAccountant::on_completed(const Request& req, sim::SimTime now) {
 void SloAccountant::on_rejected(const Request& req, Overloaded reason,
                                 sim::SimTime now) {
   ++rejected_;
-  if (obs::enabled()) ServeMetrics::get().rejected->add();
   auto& causal = obs::RequestTracer::global();
   if (causal.enabled() && req.trace.active()) {
     causal.finish(req.trace.trace_id, now, obs::TraceOutcome::kRejected);
@@ -131,7 +108,6 @@ void SloAccountant::on_rejected(const Request& req, Overloaded reason,
 
 void SloAccountant::on_failed(const Request& req, sim::SimTime now) {
   ++failed_;
-  if (obs::enabled()) ServeMetrics::get().failed->add();
   auto& causal = obs::RequestTracer::global();
   if (causal.enabled() && req.trace.active()) {
     causal.finish(req.trace.trace_id, now, obs::TraceOutcome::kFailed);
@@ -153,7 +129,6 @@ void SloAccountant::on_failed(const Request& req, sim::SimTime now) {
 void SloAccountant::on_retry(const Request& req) {
   static_cast<void>(req);
   ++retries_;
-  if (obs::enabled()) ServeMetrics::get().retries->add();
 }
 
 double SloAccountant::availability() const noexcept {

@@ -6,9 +6,9 @@
 // completed, rejected, or failed — ledger_ok() checks that partition and is
 // asserted by the integration tests (including chaos runs). Latency of
 // completed requests feeds an exact percentile tracker (p50/p99/p999 are
-// headline numbers, so no bucket approximation), and when rb_obs is enabled
-// the outcome counts mirror into the global registry (serve.* counters) and
-// each request gets an async trace span on the "serve.request" track.
+// headline numbers, so no bucket approximation). The outcome counts live
+// here and nowhere else; when the trace recorder is on, each request also
+// gets an async trace span on the "serve.request" track.
 
 #include <cstdint>
 

@@ -2,34 +2,7 @@
 
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-
 namespace rb::sim {
-
-namespace {
-
-/// Event-kernel telemetry, resolved once per process. Pointers stay valid
-/// for the registry's lifetime; increments are guarded by obs::enabled() at
-/// the call site so a disabled run never touches the registry.
-struct KernelMetrics {
-  obs::Counter* dispatched;
-  obs::Gauge* queue_depth;
-
-  static KernelMetrics& get() {
-    static KernelMetrics m{
-        &obs::Registry::global().counter("sim.events_dispatched"),
-        &obs::Registry::global().gauge("sim.event_queue_depth")};
-    return m;
-  }
-};
-
-inline void note_dispatch(std::size_t pending) noexcept {
-  auto& m = KernelMetrics::get();
-  m.dispatched->add();
-  m.queue_depth->set(static_cast<double>(pending));
-}
-
-}  // namespace
 
 EventHandle Simulator::schedule_at(SimTime when, EventFn fn) {
   if (when < now_)
@@ -46,11 +19,9 @@ EventHandle Simulator::schedule_in(SimTime delay, EventFn fn) {
 std::uint64_t Simulator::run() {
   std::uint64_t processed = 0;
   stop_requested_ = false;
-  const bool observed = obs::enabled();
   while (!queue_.empty() && !stop_requested_) {
     auto [when, fn] = queue_.pop();
     now_ = when;
-    if (observed) note_dispatch(queue_.size());
     fn();
     ++processed;
   }
@@ -62,11 +33,9 @@ std::uint64_t Simulator::run_until(SimTime until) {
     throw std::invalid_argument{"Simulator::run_until: time in the past"};
   std::uint64_t processed = 0;
   stop_requested_ = false;
-  const bool observed = obs::enabled();
   while (!queue_.empty() && !stop_requested_ && queue_.next_time() <= until) {
     auto [when, fn] = queue_.pop();
     now_ = when;
-    if (observed) note_dispatch(queue_.size());
     fn();
     ++processed;
   }
@@ -78,7 +47,6 @@ bool Simulator::step() {
   if (queue_.empty()) return false;
   auto [when, fn] = queue_.pop();
   now_ = when;
-  if (obs::enabled()) note_dispatch(queue_.size());
   fn();
   return true;
 }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/context.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "storage/device.hpp"
 #include "storage/manifest.hpp"
@@ -16,32 +15,6 @@
 namespace rb::storage {
 
 namespace {
-
-struct StorageMetrics {
-  obs::Counter* flushes;
-  obs::Counter* compactions;
-  obs::Counter* bytes_internal;
-  obs::Counter* bloom_hits;       // filter passed; the run was probed
-  obs::Counter* bloom_negatives;  // filter ruled the run out; probe skipped
-  obs::Counter* wal_appends;      // records framed into the WAL
-  obs::Counter* wal_replayed;     // records replayed by recovery
-  obs::Counter* recoveries;       // durable opens of an existing device
-  obs::Counter* scrub_corruptions;  // artifacts scrub flagged
-
-  static StorageMetrics& get() {
-    auto& r = obs::Registry::global();
-    static StorageMetrics m{&r.counter("storage.flushes"),
-                            &r.counter("storage.compactions"),
-                            &r.counter("storage.bytes_written_internal"),
-                            &r.counter("storage.bloom_hits"),
-                            &r.counter("storage.bloom_negatives"),
-                            &r.counter("storage.wal_appends"),
-                            &r.counter("storage.wal_replayed"),
-                            &r.counter("storage.recoveries"),
-                            &r.counter("storage.scrub_corruptions_detected")};
-    return m;
-  }
-};
 
 /// RAII wall-clock span for flush/compaction/recovery work. The LSM runs in
 /// real time (no simulated clock), so the ts axis is wall-derived
@@ -222,11 +195,6 @@ LsmStore::LsmStore(LsmOptions options, Device& device) : options_{options} {
       device.sync(durable_->manifest.wal_file);
     }
     sweep_orphans();
-    if (obs::enabled()) {
-      auto& m = StorageMetrics::get();
-      m.recoveries->add();
-      m.wal_replayed->add(replay.records.size());
-    }
   }
   durable_->wal =
       std::make_unique<WalWriter>(device, durable_->manifest.wal_file);
@@ -255,7 +223,6 @@ void LsmStore::put(std::string key, std::string value) {
     durable_->wal->append(WalRecord{WalRecord::Type::kPut, key, value});
     ++stats_.wal_appends;
     stats_.bytes_written_wal += durable_->wal->appended_bytes() - before;
-    if (obs::enabled()) StorageMetrics::get().wal_appends->add();
   }
   memtable_bytes_ += key.size() + value.size();
   memtable_[std::move(key)] = MemEntry{std::move(value), false};
@@ -270,7 +237,6 @@ void LsmStore::erase(std::string key) {
     durable_->wal->append(WalRecord{WalRecord::Type::kErase, key, ""});
     ++stats_.wal_appends;
     stats_.bytes_written_wal += durable_->wal->appended_bytes() - before;
-    if (obs::enabled()) StorageMetrics::get().wal_appends->add();
   }
   memtable_bytes_ += key.size() + 1;
   memtable_[std::move(key)] = MemEntry{"", true};
@@ -323,11 +289,9 @@ std::optional<std::string> LsmStore::get(std::string_view key) const {
     const auto hit = run.get(key, &bloom_skipped);
     if (bloom_skipped) {
       ++stats_.bloom_skips;
-      if (obs::enabled()) StorageMetrics::get().bloom_negatives->add();
       return true;  // filter said no; keep searching older runs
     }
     ++stats_.sstable_probes;
-    if (obs::enabled()) StorageMetrics::get().bloom_hits->add();
     if (hit) {
       if (!hit->tombstone) result = hit->value;
       return false;  // newest occurrence wins; stop
@@ -392,11 +356,6 @@ void LsmStore::flush() {
   }
   SsTable run{std::move(entries)};
   stats_.bytes_written_internal += run.size_bytes();
-  if (obs::enabled()) {
-    auto& m = StorageMetrics::get();
-    m.flushes->add();
-    m.bytes_internal->add(run.size_bytes());
-  }
   levels_[0].push_back(std::move(run));
   ++stats_.flushes;
   if (durable_) {
@@ -450,7 +409,6 @@ void LsmStore::compact(std::size_t level) {
     entries.push_back(std::move(e));
   }
   ++stats_.compactions;
-  if (obs::enabled()) StorageMetrics::get().compactions->add();
   if (!entries.empty()) {
     std::string run_file;
     if (durable_) {
@@ -459,8 +417,6 @@ void LsmStore::compact(std::size_t level) {
     }
     SsTable run{std::move(entries)};
     stats_.bytes_written_internal += run.size_bytes();
-    if (obs::enabled())
-      StorageMetrics::get().bytes_internal->add(run.size_bytes());
     if (levels_.size() <= level + 1 && !last_level) {
       levels_.emplace_back();
       if (durable_) durable_->level_files.emplace_back();
@@ -491,9 +447,6 @@ ScrubReport LsmStore::scrub() const {
   ScrubReport report = scrub_device(durable_->device);
   ++stats_.scrubs;
   stats_.scrub_corruptions += report.corruptions();
-  if (obs::enabled() && report.corruptions() > 0) {
-    StorageMetrics::get().scrub_corruptions->add(report.corruptions());
-  }
   return report;
 }
 

@@ -148,7 +148,7 @@ struct LsmStats {
 };
 
 /// What the recovering constructor found on its device. Audited by the
-/// crash-point fuzzer and exported through the storage.* obs counters.
+/// crash-point fuzzer.
 struct RecoveryInfo {
   bool recovered_existing = false;  // false: the device was fresh
   std::uint64_t runs_loaded = 0;

@@ -1,6 +1,7 @@
 // obs::json writer + parser: nested documents must round-trip through
 // JsonWriter -> json_parse, escaping must survive the trip, and non-finite
-// doubles must be written as 0 (the format has no Inf/NaN barewords).
+// doubles must be written as 0 (the format has no Inf/NaN barewords), and
+// nesting past the parser's depth limit is a typed error, not a crash.
 
 #include <gtest/gtest.h>
 
@@ -100,6 +101,19 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_THROW(json_parse("\"unterminated"), std::invalid_argument);
   EXPECT_THROW(json_parse("nully"), std::invalid_argument);
   EXPECT_THROW(json_parse(""), std::invalid_argument);
+}
+
+TEST(JsonParse, NestingIsBoundedWithATypedError) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const JsonValue doc = json_parse(nested(kJsonMaxDepth));
+  EXPECT_TRUE(doc.is_array());
+  EXPECT_THROW(json_parse(nested(kJsonMaxDepth + 1)), std::invalid_argument);
+  EXPECT_THROW(json_parse("{\"a\":" + nested(kJsonMaxDepth) + "}"),
+               std::invalid_argument);
+  // Deep enough to overflow the stack of an unbounded recursive parser.
+  EXPECT_THROW(json_parse(std::string(100'000, '[')), std::invalid_argument);
 }
 
 TEST(JsonValue, AtThrowsOnMissingKey) {

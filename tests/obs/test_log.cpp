@@ -1,6 +1,5 @@
 // rb::obs logging: level gating via the atomic global, component-tagged
-// Logger streams, serialized (never interleaved) lines, and the
-// log-lines-as-metrics coupling.
+// Logger streams, and serialized (never interleaved) lines.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 
 namespace rb::obs {
 namespace {
@@ -33,7 +31,6 @@ class LogTest : public ::testing::Test {
   void TearDown() override {
     set_log_sink_for_testing(nullptr);
     set_log_level(saved_level_);
-    set_enabled(false);
   }
   LogLevel saved_level_ = LogLevel::kWarning;
 };
@@ -91,30 +88,6 @@ TEST_F(LogTest, ConcurrentLinesNeverInterleave) {
     EXPECT_EQ(line.rfind("[INFO] pool: thread ", 0), 0u) << line;
     EXPECT_NE(line.find(" padpadpadpad"), std::string::npos) << line;
   }
-}
-
-TEST_F(LogTest, EmittedLinesBumpTheLogLinesCounter) {
-  set_log_level(LogLevel::kInfo);
-  set_enabled(true);
-  const Logger log{"logtest"};
-  auto& counter = Registry::global().counter(
-      "log_lines", {{"component", "logtest"}, {"level", "INFO"}});
-  const auto before = counter.value();
-  log.info() << "counted";
-  log.info() << "counted again";
-  log.debug() << "below threshold, not counted";
-  EXPECT_EQ(counter.value(), before + 2);
-}
-
-TEST_F(LogTest, DisabledObsSkipsTheCounterButStillLogs) {
-  set_log_level(LogLevel::kInfo);
-  set_enabled(false);
-  const Logger log{"logtest2"};
-  auto& counter = Registry::global().counter(
-      "log_lines", {{"component", "logtest2"}, {"level", "INFO"}});
-  log.info() << "uncounted";
-  EXPECT_EQ(counter.value(), 0u);
-  ASSERT_EQ(captured().size(), 1u);
 }
 
 }  // namespace

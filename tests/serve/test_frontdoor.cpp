@@ -182,23 +182,6 @@ TEST(FrontDoor, IdenticalSeedsProduceIdenticalResults) {
   EXPECT_EQ(a.p99_ms, b.p99_ms);
 }
 
-TEST(FrontDoor, ExportsSloCountersThroughObs) {
-  auto& registry = obs::Registry::global();
-  registry.reset_for_test();
-  obs::set_enabled(true);
-  auto params = small_params();
-  params.horizon = 50 * sim::kMillisecond;
-  const auto r = run(params, /*chaos=*/false);
-  obs::set_enabled(false);
-
-  EXPECT_EQ(registry.counter("serve.requests_issued").value(), r.issued);
-  EXPECT_EQ(registry.counter("serve.requests_completed").value(),
-            r.completed);
-  EXPECT_EQ(registry.counter("serve.requests_rejected").value(), r.rejected);
-  EXPECT_EQ(registry.counter("serve.requests_failed").value(), r.failed);
-  registry.reset_for_test();
-}
-
 TEST(SloAccountant, CreatesRollupSeriesOnFirstRecord) {
   obs::Rollup rollup{10 * sim::kMillisecond};
   SloAccountant slo;
